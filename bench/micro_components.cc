@@ -1,13 +1,15 @@
 /**
  * Component microbenchmarks (google-benchmark): throughput of the
  * hot structures — trace predictor lookup/update, IR-detector trace
- * merging, cache access, the assembler, and the functional simulator.
+ * merging, operand-rename-table scope eviction, cache access, the
+ * assembler, and the functional simulator.
  * These guard the *simulator's* own performance (host MIPS), which
  * bounds how large the paper-scale experiments can be.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <vector>
 
 #include "assembler/assembler.hh"
@@ -17,6 +19,7 @@
 #include "mem/cache.hh"
 #include "slipstream/ir_detector.hh"
 #include "slipstream/ir_predictor.hh"
+#include "slipstream/operand_rename_table.hh"
 #include "uarch/trace_pred.hh"
 #include "workloads/workloads.hh"
 
@@ -87,6 +90,75 @@ BM_IRPredictorUpdate(benchmark::State &state)
     }
 }
 BENCHMARK(BM_IRPredictorUpdate);
+
+/**
+ * The IR-detector's ORT over an 8-packet scope, pre-filled to a given
+ * number of value-only memory entries. One trace makes four stores
+ * and four register writes, then the packet eight traces back leaves
+ * the scope. The stores cycle over the first 64 entries, so the table
+ * size stays fixed.
+ */
+class OrtScopeLoop
+{
+  public:
+    explicit OrtScopeLoop(uint64_t entries)
+    {
+        for (uint64_t k = 0; k < entries; ++k)
+            ort.writeMem(kBase + 8 * k, 8, k, OrtProducer{0, 0});
+        ort.invalidateProducer(0);
+    }
+
+    void
+    trace()
+    {
+        ++packet;
+        for (uint8_t slot = 0; slot < 4; ++slot) {
+            const Addr addr = kBase + 8 * ((packet * 4 + slot) & 63);
+            benchmark::DoNotOptimize(
+                ort.writeMem(addr, 8, packet, OrtProducer{packet, slot}));
+            benchmark::DoNotOptimize(
+                ort.writeReg(RegIndex(1 + slot), packet,
+                             OrtProducer{packet, uint8_t(slot + 4)}));
+        }
+        if (packet > kScope)
+            ort.invalidateProducer(packet - kScope);
+    }
+
+  private:
+    static constexpr Addr kBase = 0x100000;
+    static constexpr uint64_t kScope = 8;
+    OperandRenameTable ort;
+    uint64_t packet = 0;
+};
+
+// Scope eviction must not depend on the table size. The 64-entry and
+// 65,536-entry tables run in alternating batches, so a change in host
+// speed during the run lands on both sides of their ratio: bench_diff
+// derives speedup/ort_evict_large_vs_small = ns_at_64 / ns_at_65536,
+// ~1 unless eviction scans the table.
+void
+BM_OrtScopeEviction(benchmark::State &state)
+{
+    constexpr unsigned kBatch = 256;
+    OrtScopeLoop small(64), large(65536);
+    double smallNs = 0, largeNs = 0;
+    const auto timeBatch = [](OrtScopeLoop &loop) {
+        const auto start = std::chrono::steady_clock::now();
+        for (unsigned i = 0; i < kBatch; ++i)
+            loop.trace();
+        return std::chrono::duration<double, std::nano>(
+                   std::chrono::steady_clock::now() - start)
+            .count();
+    };
+    for (auto _ : state) {
+        smallNs += timeBatch(small);
+        largeNs += timeBatch(large);
+    }
+    const double traces = double(state.iterations()) * kBatch;
+    state.counters["ns_at_64"] = smallNs / traces;
+    state.counters["ns_at_65536"] = largeNs / traces;
+}
+BENCHMARK(BM_OrtScopeEviction);
 
 void
 BM_Assembler(benchmark::State &state)

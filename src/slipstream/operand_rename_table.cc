@@ -1,6 +1,7 @@
 #include "slipstream/operand_rename_table.hh"
 
 #include "common/bitutils.hh"
+#include "common/invariant.hh"
 #include "common/logging.hh"
 
 namespace slip
@@ -82,7 +83,11 @@ OrtWriteResult
 OperandRenameTable::writeMem(Addr addr, unsigned bytes, Word value,
                              const OrtProducer &producer)
 {
-    return writeEntry(mem[memKey(addr, bytes)], value, producer);
+    const uint64_t key = memKey(addr, bytes);
+    const OrtWriteResult result = writeEntry(mem[key], value, producer);
+    if (!result.nonModifying)
+        writtenKeys[producer.packetNum].push_back(key);
+    return result;
 }
 
 void
@@ -92,9 +97,27 @@ OperandRenameTable::invalidateProducer(uint64_t packetNum)
         if (e.producerValid && e.producer.packetNum == packetNum)
             e.producerValid = false;
     }
-    for (auto &[key, e] : mem) {
-        if (e.producerValid && e.producer.packetNum == packetNum)
-            e.producerValid = false;
+    if (auto keys = writtenKeys.find(packetNum);
+        keys != writtenKeys.end()) {
+        for (uint64_t key : keys->second) {
+            // A later packet may have taken the key over since; the
+            // entry is only shed once its producer is invalid, so a
+            // key this packet still produces is always present.
+            auto it = mem.find(key);
+            if (it != mem.end() && it->second.producerValid &&
+                it->second.producer.packetNum == packetNum)
+                it->second.producerValid = false;
+        }
+        writtenKeys.erase(keys);
+    }
+    if (SLIP_INVARIANTS_ACTIVE()) {
+        for (const auto &[key, e] : mem) {
+            SLIP_INVARIANT(!(e.producerValid &&
+                             e.producer.packetNum == packetNum),
+                           "memory key ", key,
+                           " still names evicted packet ", packetNum,
+                           " as its producer");
+        }
     }
     // Bound the memory table: entries with a live producer must stay
     // (they can still be killed), the rest are value-only cache and
@@ -112,6 +135,7 @@ OperandRenameTable::reset()
     for (Entry &e : regs)
         e = Entry{};
     mem.clear();
+    writtenKeys.clear();
 }
 
 } // namespace slip

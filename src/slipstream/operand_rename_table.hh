@@ -18,6 +18,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <unordered_map>
+#include <vector>
 
 #include "common/types.hh"
 
@@ -84,6 +85,10 @@ class OperandRenameTable
      * boundaries (otherwise every scope-length-th instance of a
      * same-value write computes a different ir-vec and the resetting
      * confidence counter never saturates).
+     *
+     * Costs O(registers + memory keys the packet wrote), not
+     * O(memory-table size): writeMem records, per packet, each key
+     * whose producer it became.
      */
     void invalidateProducer(uint64_t packetNum);
 
@@ -112,6 +117,14 @@ class OperandRenameTable
 
     std::array<Entry, kNumRegs> regs;
     std::unordered_map<uint64_t, Entry> mem;
+
+    /**
+     * Per in-scope packet: the memory keys it became the producer of
+     * (a key may repeat, or have been overwritten by a later packet
+     * since). Non-modifying writes leave the table untouched and are
+     * not recorded.
+     */
+    std::unordered_map<uint64_t, std::vector<uint64_t>> writtenKeys;
 };
 
 } // namespace slip

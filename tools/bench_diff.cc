@@ -6,8 +6,9 @@
  *       Normalize a google-benchmark JSON file (plus, optionally, the
  *       wall-clock records bench_timing writes) into the committed
  *       BENCH_slipstream.json schema, deriving dispatch speedup
- *       ratios (threaded/legacy etc.), which are machine-portable and
- *       therefore what CI gates on.
+ *       ratios (threaded/legacy etc.) and the ORT scope-eviction
+ *       size ratio, which are machine-portable and therefore what CI
+ *       gates on.
  *
  *   bench_diff <baseline.json> <new.json> [--filter <substr>]
  *       Print baseline vs new with % deltas for every entry present
@@ -280,6 +281,10 @@ extractGbench(const Json &root)
         // (under their base name); without, keep the plain rows.
         std::string n = name->str;
         const Json *runType = b.get("run_type");
+        const Json *reps = b.get("repetitions");
+        if (runType && runType->str == "iteration" && reps &&
+            reps->num > 1)
+            continue;
         if (runType && runType->str == "aggregate") {
             const std::string suffix = "_mean";
             if (n.size() < suffix.size() ||
@@ -293,27 +298,41 @@ extractGbench(const Json &root)
             out.push_back({n + ":insts/s", r, "insts/s", true});
         if (const double r = counterOf(b, "bytes_per_second"))
             out.push_back({n + ":bytes/s", r, "bytes/s", true});
+        // Per-table-size timings BM_OrtScopeEviction measures itself.
+        for (const char *size : {"64", "65536"})
+            if (const double t =
+                    counterOf(b, (std::string("ns_at_") + size).c_str()))
+                out.push_back({n + "/" + size + ":ns", t, "ns", false});
     }
 
     // Derived dispatch speedups: ratios of same-machine numbers, so
     // they transfer across machines and are what the CI gate checks.
-    const auto rateOf = [&](const std::string &bench) -> double {
+    const auto valueOf = [&](const std::string &bench) -> double {
         for (const Entry &e : out)
             if (e.bench == bench)
                 return e.value;
         return 0.0;
     };
     const double legacy =
-        rateOf("BM_FunctionalSimDispatch/legacy:insts/s");
+        valueOf("BM_FunctionalSimDispatch/legacy:insts/s");
     for (const char *variant : {"switch_", "threaded"}) {
         const double v =
-            rateOf(std::string("BM_FunctionalSimDispatch/") + variant +
-                   ":insts/s");
+            valueOf(std::string("BM_FunctionalSimDispatch/") + variant +
+                    ":insts/s");
         if (legacy > 0 && v > 0)
             out.push_back({std::string("speedup/") + variant +
                                "_vs_legacy",
                            v / legacy, "ratio", true});
     }
+
+    // ORT scope eviction at 64 vs 65,536 table entries: ~1 when
+    // eviction costs O(keys the packet wrote), ~0.001 if it scans
+    // the table.
+    const double ortSmall = valueOf("BM_OrtScopeEviction/64:ns");
+    const double ortLarge = valueOf("BM_OrtScopeEviction/65536:ns");
+    if (ortSmall > 0 && ortLarge > 0)
+        out.push_back({"speedup/ort_evict_large_vs_small",
+                       ortSmall / ortLarge, "ratio", true});
     return out;
 }
 

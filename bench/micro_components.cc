@@ -1,8 +1,8 @@
 /**
  * Component microbenchmarks (google-benchmark): throughput of the
  * hot structures — trace predictor lookup/update, IR-detector trace
- * merging, operand-rename-table scope eviction, cache access, the
- * assembler, and the functional simulator.
+ * merging, operand-rename-table scope eviction, the OoO core's store
+ * window, cache access, the assembler, and the functional simulator.
  * These guard the *simulator's* own performance (host MIPS), which
  * bounds how large the paper-scale experiments can be.
  */
@@ -20,6 +20,7 @@
 #include "slipstream/ir_detector.hh"
 #include "slipstream/ir_predictor.hh"
 #include "slipstream/operand_rename_table.hh"
+#include "uarch/core.hh"
 #include "uarch/trace_pred.hh"
 #include "workloads/workloads.hh"
 
@@ -159,6 +160,122 @@ BM_OrtScopeEviction(benchmark::State &state)
     state.counters["ns_at_65536"] = largeNs / traces;
 }
 BENCHMARK(BM_OrtScopeEviction);
+
+/**
+ * An endless scripted stream for one OoOCore: every 16-instruction
+ * block is twelve stores walking a `footprintWords`-word region and
+ * four loads of one hot line the stores never touch. No load forwards
+ * from a store and a store's timing does not depend on its address,
+ * so every footprint simulates the same cycles; only the host cost of
+ * tracking the stores can differ.
+ */
+class StoreWindowSource : public FetchSource
+{
+  public:
+    explicit StoreWindowSource(uint64_t footprintWords)
+        : footprintWords(footprintWords), pattern(kBlock)
+    {
+        for (unsigned i = 0; i < kBlock; ++i) {
+            DynInst &d = pattern[i];
+            d.pc = kPc + 4 * i;
+            d.exec.nextPc = d.pc + 4;
+            d.exec.isMem = true;
+            d.exec.memBytes = 8;
+            if (isStore(i)) {
+                d.si = {Opcode::SD, 0, 0, 5, 0};
+            } else {
+                const RegIndex rd = RegIndex(6 + i / 4);
+                d.si = {Opcode::LD, rd, 0, 0, 0};
+                d.exec.wroteReg = true;
+                d.exec.destReg = rd;
+                d.exec.memAddr = kHotLine + 8 * (i / 4);
+            }
+        }
+    }
+
+    bool
+    nextBlock(FetchBlock &block) override
+    {
+        block.startAddr = kPc;
+        block.insts = pattern;
+        for (unsigned i = 0; i < kBlock; ++i) {
+            DynInst &d = block.insts[i];
+            d.seq = ++seq;
+            if (isStore(i))
+                d.exec.memAddr =
+                    kStoreBase + 8 * (nextWord++ % footprintWords);
+        }
+        return true;
+    }
+
+    bool exhausted() const override { return false; }
+
+  private:
+    static constexpr unsigned kBlock = 16;
+    static constexpr Addr kPc = 0x1000;
+    static constexpr Addr kHotLine = 0x40;
+    static constexpr Addr kStoreBase = 0x100000;
+
+    static bool isStore(unsigned i) { return i % 4 != 3; }
+
+    uint64_t footprintWords;
+    std::vector<DynInst> pattern;
+    uint64_t nextWord = 0;
+    InstSeqNum seq = 0;
+};
+
+/** An SS(64x4) core driven by a StoreWindowSource. */
+struct StoreWindowLoop
+{
+    explicit StoreWindowLoop(uint64_t footprintWords)
+        : source(footprintWords), core(CoreParams{}, source)
+    {}
+
+    void
+    run(unsigned cycles)
+    {
+        for (unsigned i = 0; i < cycles; ++i)
+            core.tick(now++);
+    }
+
+    StoreWindowSource source;
+    OoOCore core;
+    Cycle now = 0;
+};
+
+// Tracking in-flight stores must not depend on how many distinct
+// words the program has stored to. The 64-word and 1M-word footprints
+// run in alternating batches, as in BM_OrtScopeEviction; bench_diff
+// derives speedup/core_store_large_vs_small = ns_at_64 / ns_at_1M
+// (ns per simulated cycle), ~1 unless the core keeps per-word state
+// that grows with the footprint.
+void
+BM_CoreStoreWindow(benchmark::State &state)
+{
+    constexpr unsigned kBatch = 512;
+    StoreWindowLoop small(64), large(1u << 20);
+    double smallNs = 0, largeNs = 0;
+    const auto timeBatch = [](StoreWindowLoop &loop) {
+        const auto start = std::chrono::steady_clock::now();
+        loop.run(kBatch);
+        return std::chrono::duration<double, std::nano>(
+                   std::chrono::steady_clock::now() - start)
+            .count();
+    };
+    for (auto _ : state) {
+        smallNs += timeBatch(small);
+        largeNs += timeBatch(large);
+    }
+    if (small.core.retiredCount() != large.core.retiredCount()) {
+        state.SkipWithError("footprints simulated different cycles");
+        return;
+    }
+    benchmark::DoNotOptimize(small.core.retiredCount());
+    const double cycles = double(state.iterations()) * kBatch;
+    state.counters["ns_at_64"] = smallNs / cycles;
+    state.counters["ns_at_1M"] = largeNs / cycles;
+}
+BENCHMARK(BM_CoreStoreWindow);
 
 void
 BM_Assembler(benchmark::State &state)

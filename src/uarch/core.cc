@@ -1,10 +1,57 @@
 #include "uarch/core.hh"
 
+#include <unordered_map>
+
+#include "common/invariant.hh"
 #include "common/logging.hh"
 #include "obs/trace_session.hh"
 
 namespace slip
 {
+
+/**
+ * Reference model of store-to-load forwarding: per 8-byte word, the
+ * completion cycle of the youngest store since the last flush, swept
+ * of completed entries once it passes 2^16 words. The store queue is
+ * checked against it.
+ */
+struct OoOCore::StoreShadow
+{
+    std::unordered_map<Addr, Cycle> youngest;
+
+    void
+    record(Addr firstWord, Addr lastWord, Cycle completeAt, Cycle now)
+    {
+        for (Addr k = firstWord; k <= lastWord; ++k)
+            youngest[k] = completeAt;
+        if (youngest.size() > (1u << 16)) {
+            std::erase_if(youngest, [now](const auto &kv) {
+                return kv.second <= now;
+            });
+        }
+    }
+
+    Cycle
+    ready(Addr firstWord, Addr lastWord) const
+    {
+        Cycle r = 0;
+        for (Addr k = firstWord; k <= lastWord; ++k) {
+            auto it = youngest.find(k);
+            if (it != youngest.end())
+                r = std::max(r, it->second);
+        }
+        return r;
+    }
+};
+
+std::unique_ptr<OoOCore::StoreShadow>
+OoOCore::makeStoreShadow()
+{
+    // Latched here and at every flush, when both structures are empty,
+    // so the map never misses a store the queue holds.
+    return SLIP_INVARIANTS_ACTIVE() ? std::make_unique<StoreShadow>()
+                                    : nullptr;
+}
 
 OoOCore::OoOCore(const CoreParams &params, FetchSource &source)
     : params_(params), source(source),
@@ -18,6 +65,9 @@ OoOCore::OoOCore(const CoreParams &params, FetchSource &source)
           c.name = params.name + ".dcache";
           return c;
       }()),
+      fetchBuffer(params.fetchBufferCap + params.fetchWidth),
+      rob(params.robSize), storeQueue(params.robSize),
+      storeShadow(makeStoreShadow()),
       slotsUsed(kRingSize, 0), slotsTag(kRingSize, ~Cycle(0)),
       stats_(params.name)
 {
@@ -29,6 +79,8 @@ OoOCore::OoOCore(const CoreParams &params, FetchSource &source)
     stats_.link("fetch_only_removed", numFetchOnlyRemoved);
     stats_.link("flushes", numFlushes);
 }
+
+OoOCore::~OoOCore() = default;
 
 Cycle
 OoOCore::execLatency(const StaticInst &si) const
@@ -75,9 +127,20 @@ OoOCore::tick(Cycle now)
 {
     if (halted_)
         return;
-    doRetire(now);
+    const bool checking = SLIP_INVARIANTS_ACTIVE();
+    doRetire(now, checking);
     doDispatch(now);
     doFetch(now);
+    if (checking) {
+        SLIP_INVARIANT(rob.size() <= params_.robSize, params_.name,
+                       ": ROB holds ", rob.size(), " > ", params_.robSize);
+        SLIP_INVARIANT(fetchBuffer.size() <= params_.fetchBufferCap,
+                       params_.name, ": fetch buffer holds ",
+                       fetchBuffer.size(), " > ", params_.fetchBufferCap);
+        SLIP_INVARIANT(storeQueue.size() <= rob.size(), params_.name,
+                       ": ", storeQueue.size(), " queued stores in a ROB of ",
+                       rob.size());
+    }
     // Coarse per-core throughput samples; the core tag (first byte of
     // the stats name, 'a'/'r'/'c') rides in arg1 to keep the tracks
     // apart without a per-core name table.
@@ -94,7 +157,7 @@ OoOCore::tick(Cycle now)
 }
 
 void
-OoOCore::doRetire(Cycle now)
+OoOCore::doRetire(Cycle now, bool checking)
 {
     unsigned count = 0;
     while (count < params_.retireWidth && !rob.empty() &&
@@ -102,6 +165,17 @@ OoOCore::doRetire(Cycle now)
         const DynInst &d = rob.front().d;
         if (onRetire && !onRetire(d, now))
             break; // back-pressure: retry next cycle
+        if (checking) {
+            SLIP_INVARIANT(d.seq > lastRetiredSeq, params_.name,
+                           ": retired seq ", d.seq, " after ",
+                           lastRetiredSeq);
+            SLIP_INVARIANT(!d.si.isStore() ||
+                               (!storeQueue.empty() &&
+                                storeQueue.front().seq == d.seq),
+                           params_.name, ": retiring store ", d.seq,
+                           " is not the store-queue head");
+        }
+        lastRetiredSeq = d.seq;
         ++retired;
         lastRetire = now;
         if (d.si.isCondBranch())
@@ -110,11 +184,37 @@ OoOCore::doRetire(Cycle now)
             ++numBranchMispredicts;
         if (d.si.isHalt())
             halted_ = true;
+        if (d.si.isStore())
+            storeQueue.pop_front();
         rob.pop_front();
         ++count;
         if (halted_)
             return;
     }
+}
+
+Cycle
+OoOCore::storeForwardReady(Addr firstWord, Addr lastWord) const
+{
+    // Youngest to oldest; the first store covering a word is the one
+    // its bytes forward from. Accesses are at most 8 bytes, so at most
+    // two words: bit i of `open` is word firstWord + i, unresolved.
+    SLIP_ASSERT(lastWord - firstWord <= 1, "access spans ",
+                lastWord - firstWord + 1, " words");
+    unsigned open = lastWord == firstWord ? 1u : 3u;
+    Cycle ready = 0;
+    for (size_t i = storeQueue.size(); i-- > 0 && open;) {
+        const StoreEntry &s = storeQueue[i];
+        for (unsigned w = 0; w < 2; ++w) {
+            const Addr word = firstWord + w;
+            if ((open >> w & 1) && s.firstWord <= word &&
+                word <= s.lastWord) {
+                ready = std::max(ready, s.completeAt);
+                open &= ~(1u << w);
+            }
+        }
+    }
+    return ready;
 }
 
 void
@@ -124,10 +224,13 @@ OoOCore::doDispatch(Cycle now)
     while (count < params_.dispatchWidth && !fetchBuffer.empty() &&
            fetchBuffer.front().readyAt <= now &&
            rob.size() < params_.robSize) {
-        DynInst d = fetchBuffer.front().d;
-        fetchBuffer.pop_front();
+        DynInst &d = fetchBuffer.front().d;
         ++count;
         ++numDispatched;
+
+        // The 8-byte words a load or store touches.
+        const Addr firstWord = d.exec.memAddr >> 3;
+        const Addr lastWord = (d.exec.memAddr + d.exec.memBytes - 1) >> 3;
 
         // Operand readiness through the register scoreboard (skipped
         // entirely when the delay buffer supplies source values).
@@ -142,14 +245,17 @@ OoOCore::doDispatch(Cycle now)
             if (d.si.isLoad()) {
                 // Perfect disambiguation + store-to-load forwarding:
                 // wait for the youngest earlier store to these bytes.
-                const Addr first = d.exec.memAddr >> 3;
-                const Addr last =
-                    (d.exec.memAddr + d.exec.memBytes - 1) >> 3;
-                for (Addr k = first; k <= last; ++k) {
-                    auto it = storeReady.find(k);
-                    if (it != storeReady.end())
-                        depReady = std::max(depReady, it->second);
+                const Cycle fwd = storeForwardReady(firstWord, lastWord);
+                if (storeShadow) {
+                    [[maybe_unused]] const Cycle mapReady = std::max(
+                        now, storeShadow->ready(firstWord, lastWord));
+                    SLIP_INVARIANT(std::max(now, fwd) == mapReady,
+                                   params_.name, ": store queue says load ",
+                                   d.seq, " is ready at ",
+                                   std::max(now, fwd),
+                                   ", the per-word map says ", mapReady);
                 }
+                depReady = std::max(depReady, fwd);
             }
         }
 
@@ -163,15 +269,10 @@ OoOCore::doDispatch(Cycle now)
             // forwarding makes the data available at address
             // generation, so dependents do not wait for the write.
             dcache_.access(d.exec.memAddr);
-            const Addr first = d.exec.memAddr >> 3;
-            const Addr last = (d.exec.memAddr + d.exec.memBytes - 1) >> 3;
-            for (Addr k = first; k <= last; ++k)
-                storeReady[k] = completeAt;
-            if (storeReady.size() > (1u << 16)) {
-                std::erase_if(storeReady, [now](const auto &kv) {
-                    return kv.second <= now;
-                });
-            }
+            storeQueue.emplace_back(
+                StoreEntry{firstWord, lastWord, completeAt, d.seq});
+            if (storeShadow)
+                storeShadow->record(firstWord, lastWord, completeAt, now);
         }
 
         if (d.exec.wroteReg)
@@ -186,7 +287,8 @@ OoOCore::doDispatch(Cycle now)
                 fetchBlockedOnBranch = false;
         }
 
-        rob.push_back({std::move(d), completeAt});
+        rob.emplace_back(std::move(d), completeAt);
+        fetchBuffer.pop_front();
     }
 }
 
@@ -245,7 +347,7 @@ OoOCore::doFetch(Cycle now)
             fetchBlockedOnBranch = true;
             blockedBranchSeq = d.seq;
         }
-        fetchBuffer.push_back({std::move(d), readyAt});
+        fetchBuffer.emplace_back(std::move(d), readyAt);
     }
 }
 
@@ -260,7 +362,9 @@ OoOCore::flush(Cycle now, Cycle resumeFetchAt)
     fetchBuffer.clear();
     rob.clear();
     regReady.fill(now);
-    storeReady.clear();
+    storeQueue.clear();
+    storeShadow = makeStoreShadow();
+    lastRetiredSeq = 0;
     fetchBlockedOnBranch = false;
     fetchResumeAt = resumeFetchAt;
     // A flush is a full restart: an A-stream that speculatively walked

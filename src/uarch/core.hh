@@ -22,11 +22,11 @@
 #define SLIPSTREAM_UARCH_CORE_HH
 
 #include <array>
-#include <deque>
 #include <functional>
-#include <unordered_map>
+#include <memory>
 #include <vector>
 
+#include "common/ring.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 #include "func/executor.hh"
@@ -140,6 +140,7 @@ class OoOCore
 {
   public:
     OoOCore(const CoreParams &params, FetchSource &source);
+    ~OoOCore();
 
     /** Advance one cycle: retire, dispatch/schedule, fetch. */
     void tick(Cycle now);
@@ -197,12 +198,31 @@ class OoOCore
         Cycle completeAt;
     };
 
-    void doRetire(Cycle now);
+    /** A dispatched, not yet retired store: the 8-byte words it covers. */
+    struct StoreEntry
+    {
+        Addr firstWord;
+        Addr lastWord;
+        Cycle completeAt;
+        InstSeqNum seq;
+    };
+
+    /** Per-word youngest-store map: the store queue's checker. */
+    struct StoreShadow;
+    static std::unique_ptr<StoreShadow> makeStoreShadow();
+
+    void doRetire(Cycle now, bool checking);
     void doDispatch(Cycle now);
     void doFetch(Cycle now);
 
     /** Earliest cycle >= earliest with a free issue slot; claims it. */
     Cycle claimIssueSlot(Cycle earliest);
+
+    /**
+     * Latest completion, over the words [firstWord, lastWord], of the
+     * youngest in-flight store to each word (0 if none).
+     */
+    Cycle storeForwardReady(Addr firstWord, Addr lastWord) const;
 
     Cycle execLatency(const StaticInst &si) const;
 
@@ -211,11 +231,19 @@ class OoOCore
     Cache icache_;
     Cache dcache_;
 
-    std::deque<FetchEntry> fetchBuffer;
-    std::deque<RobEntry> rob;
+    FixedRing<FetchEntry> fetchBuffer;
+    FixedRing<RobEntry> rob;
 
     std::array<Cycle, kNumRegs> regReady{};
-    std::unordered_map<Addr, Cycle> storeReady; // key: addr >> 3
+
+    // In-flight stores in program order: pushed at dispatch, popped at
+    // retirement, cleared by flush (see DESIGN.md §6).
+    FixedRing<StoreEntry> storeQueue;
+
+    // Present only while invariant checking is on: cross-checks every
+    // store-queue lookup against a per-word youngest-store map.
+    std::unique_ptr<StoreShadow> storeShadow;
+    InstSeqNum lastRetiredSeq = 0;
 
     // Issue bandwidth ring: slots used per cycle.
     static constexpr size_t kRingSize = 1 << 14;

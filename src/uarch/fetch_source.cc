@@ -49,6 +49,7 @@ BlockSlicer::push(const DynInst &d, Addr fetchAddr,
 
     if (!open) {
         current.startAddr = fetchAddr;
+        current.insts.reserve(maxBlock);
         open = true;
     }
     current.insts.push_back(d);

@@ -6,9 +6,9 @@
  *       Normalize a google-benchmark JSON file (plus, optionally, the
  *       wall-clock records bench_timing writes) into the committed
  *       BENCH_slipstream.json schema, deriving dispatch speedup
- *       ratios (threaded/legacy etc.) and the ORT scope-eviction
- *       size ratio, which are machine-portable and therefore what CI
- *       gates on.
+ *       ratios (threaded/legacy etc.), the ORT scope-eviction size
+ *       ratio and the OoO core's store-footprint ratio, which are
+ *       machine-portable and therefore what CI gates on.
  *
  *   bench_diff <baseline.json> <new.json> [--filter <substr>]
  *       Print baseline vs new with % deltas for every entry present
@@ -298,8 +298,9 @@ extractGbench(const Json &root)
             out.push_back({n + ":insts/s", r, "insts/s", true});
         if (const double r = counterOf(b, "bytes_per_second"))
             out.push_back({n + ":bytes/s", r, "bytes/s", true});
-        // Per-table-size timings BM_OrtScopeEviction measures itself.
-        for (const char *size : {"64", "65536"})
+        // Per-size timings BM_OrtScopeEviction and BM_CoreStoreWindow
+        // measure themselves.
+        for (const char *size : {"64", "65536", "1M"})
             if (const double t =
                     counterOf(b, (std::string("ns_at_") + size).c_str()))
                 out.push_back({n + "/" + size + ":ns", t, "ns", false});
@@ -333,6 +334,14 @@ extractGbench(const Json &root)
     if (ortSmall > 0 && ortLarge > 0)
         out.push_back({"speedup/ort_evict_large_vs_small",
                        ortSmall / ortLarge, "ratio", true});
+
+    // The OoO core's store tracking at a 64-word vs 1M-word store
+    // footprint: ~1 when it holds only in-flight stores.
+    const double storeSmall = valueOf("BM_CoreStoreWindow/64:ns");
+    const double storeLarge = valueOf("BM_CoreStoreWindow/1M:ns");
+    if (storeSmall > 0 && storeLarge > 0)
+        out.push_back({"speedup/core_store_large_vs_small",
+                       storeSmall / storeLarge, "ratio", true});
     return out;
 }
 

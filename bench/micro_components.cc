@@ -82,7 +82,8 @@ BM_IRPredictorUpdate(benchmark::State &state)
     PathHistory h;
     RemovalPlan plan;
     plan.irVec = 0x5555;
-    plan.reasons.assign(16, reason::kBR);
+    for (unsigned i = 0; i < 16; ++i)
+        plan.setReason(i, reason::kBR);
     uint64_t i = 0;
     for (auto _ : state) {
         const TraceId id{0x1000 + (i & 63) * 4, 0, 0, 16};
@@ -91,6 +92,86 @@ BM_IRPredictorUpdate(benchmark::State &state)
     }
 }
 BENCHMARK(BM_IRPredictorUpdate);
+
+/**
+ * Retired traces fed straight to an IR-detector: kSlots ALU
+ * instructions per trace, slot i writing r(1 + i % 8) with a value
+ * that changes every trace. `dense`: slot i reads slot i-1's register
+ * as both operands, two same-trace R-DFG edges per slot (the
+ * rs1 == rs2 case). Otherwise every slot reads r0 and the graph has
+ * no edges. Both sides kill and finalize the same way.
+ */
+class DetectorTraceLoop
+{
+  public:
+    explicit DetectorTraceLoop(bool dense)
+        : detector(IRDetectorParams{}, pred), rExec(kSlots)
+    {
+        packet.actualId = TraceId{kPc, 0, 0, kSlots};
+        packet.slots.resize(kSlots);
+        for (unsigned i = 0; i < kSlots; ++i) {
+            const RegIndex rd = RegIndex(1 + i % 8);
+            const RegIndex rs =
+                dense && i > 0 ? RegIndex(1 + (i - 1) % 8) : kZeroReg;
+            PacketSlot &slot = packet.slots[i];
+            slot.pc = kPc + 4 * i;
+            slot.si = {Opcode::ADD, rd, rs, rs, 0};
+            slot.executedInA = true;
+            rExec[i].wroteReg = true;
+            rExec[i].destReg = rd;
+            rExec[i].nextPc = slot.pc + 4;
+        }
+    }
+
+    void
+    trace()
+    {
+        packet.num = ++num;
+        for (unsigned i = 0; i < kSlots; ++i)
+            rExec[i].destValue = num * kSlots + i;
+        detector.processTrace(RetiredTrace{&packet, &rExec, &history});
+    }
+
+  private:
+    static constexpr unsigned kSlots = 32;
+    static constexpr Addr kPc = 0x1000;
+
+    IRPredictor pred;
+    IRDetector detector;
+    Packet packet;
+    std::vector<ExecResult> rExec;
+    PathHistory history;
+    uint64_t num = 0;
+};
+
+// Same-trace dataflow edges must cost no more than the bookkeeping
+// they need: a per-edge allocation shows as dense running well behind
+// flat. The two run in alternating batches, as in BM_OrtScopeEviction;
+// bench_diff derives speedup/irdetect_dense_vs_flat =
+// ns_at_flat / ns_at_dense (ns per trace).
+void
+BM_IRDetectorTrace(benchmark::State &state)
+{
+    constexpr unsigned kBatch = 64;
+    DetectorTraceLoop dense(true), flat(false);
+    double denseNs = 0, flatNs = 0;
+    const auto timeBatch = [](DetectorTraceLoop &loop) {
+        const auto start = std::chrono::steady_clock::now();
+        for (unsigned i = 0; i < kBatch; ++i)
+            loop.trace();
+        return std::chrono::duration<double, std::nano>(
+                   std::chrono::steady_clock::now() - start)
+            .count();
+    };
+    for (auto _ : state) {
+        denseNs += timeBatch(dense);
+        flatNs += timeBatch(flat);
+    }
+    const double traces = double(state.iterations()) * kBatch;
+    state.counters["ns_at_dense"] = denseNs / traces;
+    state.counters["ns_at_flat"] = flatNs / traces;
+}
+BENCHMARK(BM_IRDetectorTrace);
 
 /**
  * The IR-detector's ORT over an 8-packet scope, pre-filled to a given

@@ -71,6 +71,9 @@ class Cache
 
     CacheParams params_;
     unsigned numSets;
+    // Geometry is power-of-two: an address splits by shifts.
+    unsigned lineShift; // log2(lineBytes)
+    unsigned tagShift;  // log2(lineBytes * numSets)
     std::vector<Line> lines; // numSets * assoc, set-major
     uint64_t useClock = 0;
 

@@ -21,8 +21,8 @@ AStreamSource::AStreamSource(const Program &program,
                              AStreamPolicy &aPolicy, unsigned fetchWidth,
                              const TracePolicy &policy)
     : program(program), predictor(predictor), irPredictor(irPredictor),
-      delayBuffer(delayBuffer), aPolicy(aPolicy), fetchWidth(fetchWidth),
-      policy(policy), state_(memPort), stats_("a_stream")
+      delayBuffer(delayBuffer), aPolicy(aPolicy), policy(policy),
+      state_(memPort), slicer(fetchWidth), stats_("a_stream")
 {
     state_.setPc(program.entry());
     state_.writeReg(reg::sp, layout::kStackTop);
@@ -38,8 +38,8 @@ unsigned
 AStreamSource::pendingData() const
 {
     unsigned total = 0;
-    for (const PendingPacket &pp : pending)
-        total += pp.packet.executedCount;
+    for (size_t i = 0; i < pending.size(); ++i)
+        total += pending[i].packet.executedCount;
     return total;
 }
 
@@ -75,8 +75,7 @@ AStreamSource::nextBlock(FetchBlock &block)
         }
         walkTrace();
     }
-    block = std::move(blocks.front());
-    blocks.pop_front();
+    blocks.popInto(block);
     return true;
 }
 
@@ -131,7 +130,10 @@ AStreamSource::walkTrace()
     if (plan)
         ++statTracesWithRemoval;
 
-    Packet packet;
+    // Built in place in the pending ring; publication moves it on.
+    PendingPacket &pp = pending.push_back();
+    Packet &packet = pp.packet;
+    packet = Packet{};
     packet.num = nextPacketNum++;
     packet.predictedIrVec = plan ? plan->irVec : 0;
     packet.actualId.startPc = startPc;
@@ -140,6 +142,7 @@ AStreamSource::walkTrace()
     const unsigned lengthCap =
         std::min<unsigned>(guess.length ? guess.length : policy.maxLen,
                            policy.maxLen);
+    packet.slots.reserve(lengthCap);
 
     // --- walk: execute non-removed slots on the A-stream context ---
     unsigned branchIdx = 0;
@@ -284,9 +287,7 @@ AStreamSource::walkTrace()
         }
     }
 
-    BlockSlicer slicer(fetchWidth);
-    DynInst lastEmitted;
-    bool anyEmitted = false;
+    const StaticInst *lastEmitted = nullptr;
     unsigned executedCount = 0;
 
     for (size_t i = 0; i < n; ++i) {
@@ -294,7 +295,7 @@ AStreamSource::walkTrace()
         if (slot.fetchSkipped)
             continue;
 
-        DynInst d;
+        DynInst &d = slicer.open(slot.pc, blocks);
         d.pc = slot.pc;
         d.si = slot.si;
         d.packetSeq = packet.num;
@@ -314,9 +315,8 @@ AStreamSource::walkTrace()
                 d.mispredicted = true;
         }
 
-        slicer.push(d, slot.pc, blocks);
-        lastEmitted = d;
-        anyEmitted = true;
+        slicer.close(blocks);
+        lastEmitted = &slot.si;
     }
     slicer.finish(blocks);
 
@@ -333,15 +333,15 @@ AStreamSource::walkTrace()
     // --- speculative history update & JALR target validation ---
     history.push(actual);
 
-    if (!haltWalked && !truncated && anyEmitted &&
-        lastEmitted.si.isIndirectJump()) {
+    if (!haltWalked && !truncated && lastEmitted &&
+        lastEmitted->isIndirectJump()) {
         const Addr actualNext = pc;
         std::optional<TraceId> next = predictor.predict(history);
         Addr predictedTarget = 0;
         if (next && next->valid()) {
             predictedTarget = next->startPc;
-        } else if (lastEmitted.si.rs1 == reg::ra &&
-                   lastEmitted.si.rd == reg::zero) {
+        } else if (lastEmitted->rs1 == reg::ra &&
+                   lastEmitted->rd == reg::zero) {
             predictedTarget = ras.pop();
         }
         if (predictedTarget != actualNext) {
@@ -349,8 +349,8 @@ AStreamSource::walkTrace()
             SLIP_ASSERT(!blocks.empty() && !blocks.back().insts.empty(),
                         "A-stream indirect block missing");
             blocks.back().insts.back().mispredicted = true;
-        } else if (lastEmitted.si.rs1 == reg::ra &&
-                   lastEmitted.si.rd == reg::zero && next &&
+        } else if (lastEmitted->rs1 == reg::ra &&
+                   lastEmitted->rd == reg::zero && next &&
                    next->valid()) {
             ras.pop();
         }
@@ -372,14 +372,14 @@ AStreamSource::walkTrace()
     // The context continues at the packet path's end.
     state_.setPc(pc);
 
-    pending.push_back(
-        PendingPacket{std::move(packet), executedCount});
+    pp.remainingRetires = executedCount;
 }
 
 void
 AStreamSource::notifyRetire(const DynInst &d)
 {
-    for (PendingPacket &pp : pending) {
+    for (size_t i = 0; i < pending.size(); ++i) {
+        PendingPacket &pp = pending[i];
         if (pp.packet.num == d.packetSeq) {
             SLIP_ASSERT(pp.remainingRetires > 0,
                         "packet ", d.packetSeq, " over-retired");

@@ -26,10 +26,10 @@
 #ifndef SLIPSTREAM_SLIPSTREAM_A_STREAM_HH
 #define SLIPSTREAM_SLIPSTREAM_A_STREAM_HH
 
-#include <deque>
 #include <optional>
 
 #include "assembler/program.hh"
+#include "common/ring.hh"
 #include "func/arch_state.hh"
 #include "slipstream/a_stream_policy.hh"
 #include "slipstream/delay_buffer.hh"
@@ -106,7 +106,6 @@ class AStreamSource : public FetchSource
     IRPredictor &irPredictor;
     DelayBuffer &delayBuffer;
     AStreamPolicy &aPolicy;
-    unsigned fetchWidth;
     TracePolicy policy;
 
     ArchState state_;
@@ -117,8 +116,9 @@ class AStreamSource : public FetchSource
     std::optional<TraceId> cachedNextPred;
     bool cachedNextPredValid = false;
 
-    std::deque<FetchBlock> blocks;
-    std::deque<PendingPacket> pending;
+    BlockQueue blocks;
+    BlockSlicer slicer;
+    RecycleRing<PendingPacket> pending; // walked, oldest first
 
     InstSeqNum nextSeq = 1;
     uint64_t nextPacketNum = 0;

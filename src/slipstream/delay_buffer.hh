@@ -19,9 +19,9 @@
 #ifndef SLIPSTREAM_SLIPSTREAM_DELAY_BUFFER_HH
 #define SLIPSTREAM_SLIPSTREAM_DELAY_BUFFER_HH
 
-#include <deque>
 #include <vector>
 
+#include "common/ring.hh"
 #include "common/stats.hh"
 #include "func/executor.hh"
 #include "isa/isa.hh"
@@ -85,7 +85,7 @@ class DelayBuffer
     /** Would a packet with `executedCount` data entries fit? */
     bool canPush(unsigned executedCount) const;
 
-    void push(Packet packet);
+    void push(Packet &&packet);
 
     bool empty() const { return packets.empty(); }
 
@@ -94,8 +94,11 @@ class DelayBuffer
 
     /**
      * Consume the front packet (R-stream finished fetching it),
-     * returning it by value for downstream bookkeeping.
+     * moving it into `out` for downstream bookkeeping.
      */
+    void popInto(Packet &out);
+
+    /** Consume the front packet, returning it by value. */
     Packet pop();
 
     /** Flush everything (recovery). */
@@ -112,9 +115,12 @@ class DelayBuffer
 
   private:
     DelayBufferParams params_;
-    std::deque<Packet> packets;
+    RecycleRing<Packet> packets;
     unsigned dataEntries_ = 0;
     StatGroup stats_;
+    // Resolved at the first push, as StatGroup::distribution would.
+    Distribution *controlOccupancy = nullptr;
+    Distribution *dataOccupancy = nullptr;
     StatGroup::Handle statPackets{stats_.handle("packets")};
     StatGroup::Handle statFlushes{stats_.handle("flushes")};
 };

@@ -21,10 +21,10 @@
 #ifndef SLIPSTREAM_SLIPSTREAM_IR_DETECTOR_HH
 #define SLIPSTREAM_SLIPSTREAM_IR_DETECTOR_HH
 
-#include <deque>
 #include <functional>
 #include <vector>
 
+#include "common/ring.hh"
 #include "common/stats.hh"
 #include "slipstream/delay_buffer.hh"
 #include "slipstream/ir_predictor.hh"
@@ -96,6 +96,7 @@ class IRDetector
         uint64_t storeMask = 0; // slots that are memory stores
         Rdfg rdfg;
 
+        ScopedTrace() = default;
         ScopedTrace(uint64_t num, const TraceId &id,
                     const PathHistory &history, uint64_t predicted,
                     unsigned slots)
@@ -115,7 +116,7 @@ class IRDetector
     IRDetectorParams params_;
     IRPredictor &irPred;
     OperandRenameTable ort;
-    std::deque<ScopedTrace> scope;
+    FixedRing<ScopedTrace> scope; // scopeTraces + 1 entries, oldest first
     StatGroup stats_;
     StatGroup::Handle statTracesProcessed{
         stats_.handle("traces_processed")};

@@ -102,15 +102,20 @@ class IRPredictor
     const IRPredictorParams &params() const { return params_; }
     StatGroup &stats() { return stats_; }
 
-  private:
+    /**
+     * One table entry. Fields are ordered widest first so the entry
+     * packs into 56 bytes: a 2^16-entry table is 3.5 MB.
+     */
     struct Entry
     {
-        bool valid = false;
         uint64_t idHash = 0; // trace id of the stored pair
         RemovalPlan plan;
         unsigned confidence = 0;
+        bool valid = false;
     };
+    static_assert(sizeof(Entry) == 56, "IRPredictor::Entry grew");
 
+  private:
     size_t indexOf(const PathHistory &history, const TraceId &id) const;
 
     IRPredictorParams params_;

@@ -85,8 +85,16 @@ OperandRenameTable::writeMem(Addr addr, unsigned bytes, Word value,
 {
     const uint64_t key = memKey(addr, bytes);
     const OrtWriteResult result = writeEntry(mem[key], value, producer);
-    if (!result.nonModifying)
-        writtenKeys[producer.packetNum].push_back(key);
+    if (!result.nonModifying) {
+        if (writtenKeys.empty() || writtenKeys.back().done ||
+            writtenKeys.back().packetNum != producer.packetNum) {
+            WrittenKeys &run = writtenKeys.push_back();
+            run.packetNum = producer.packetNum;
+            run.done = false;
+            run.keys.clear();
+        }
+        writtenKeys.back().keys.push_back(key);
+    }
     return result;
 }
 
@@ -97,9 +105,11 @@ OperandRenameTable::invalidateProducer(uint64_t packetNum)
         if (e.producerValid && e.producer.packetNum == packetNum)
             e.producerValid = false;
     }
-    if (auto keys = writtenKeys.find(packetNum);
-        keys != writtenKeys.end()) {
-        for (uint64_t key : keys->second) {
+    for (size_t i = 0; i < writtenKeys.size(); ++i) {
+        WrittenKeys &run = writtenKeys[i];
+        if (run.done || run.packetNum != packetNum)
+            continue;
+        for (uint64_t key : run.keys) {
             // A later packet may have taken the key over since; the
             // entry is only shed once its producer is invalid, so a
             // key this packet still produces is always present.
@@ -108,8 +118,10 @@ OperandRenameTable::invalidateProducer(uint64_t packetNum)
                 it->second.producer.packetNum == packetNum)
                 it->second.producerValid = false;
         }
-        writtenKeys.erase(keys);
+        run.done = true;
     }
+    while (!writtenKeys.empty() && writtenKeys.front().done)
+        writtenKeys.pop_front();
     if (SLIP_INVARIANTS_ACTIVE()) {
         for (const auto &[key, e] : mem) {
             SLIP_INVARIANT(!(e.producerValid &&

@@ -20,6 +20,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/ring.hh"
 #include "common/types.hh"
 
 namespace slip
@@ -123,8 +124,18 @@ class OperandRenameTable
      * (a key may repeat, or have been overwritten by a later packet
      * since). Non-modifying writes leave the table untouched and are
      * not recorded.
+     *
+     * Kept in write order, one run per packet; packets are evicted
+     * oldest first in the detector, so the front run is normally the
+     * one invalidated. A run's key vector is reused by later packets.
      */
-    std::unordered_map<uint64_t, std::vector<uint64_t>> writtenKeys;
+    struct WrittenKeys
+    {
+        uint64_t packetNum = 0;
+        bool done = false; // its packet was invalidated
+        std::vector<uint64_t> keys;
+    };
+    RecycleRing<WrittenKeys> writtenKeys;
 };
 
 } // namespace slip

@@ -112,7 +112,7 @@ RStreamSource::applyFault(FaultRecord &rec, PacketSlot &slot,
 RStreamSource::RStreamSource(const Program &program, Memory &rMem,
                              DelayBuffer &delayBuffer, unsigned fetchWidth)
     : program(program), port(rMem), state_(port),
-      delayBuffer(delayBuffer), fetchWidth(fetchWidth),
+      delayBuffer(delayBuffer), slicer(fetchWidth),
       stats_("r_stream")
 {
     state_.setPc(program.entry());
@@ -140,8 +140,7 @@ RStreamSource::nextBlock(FetchBlock &block)
         }
         walkPacket();
     }
-    block = std::move(blocks.front());
-    blocks.pop_front();
+    blocks.popInto(block);
     return true;
 }
 
@@ -172,13 +171,14 @@ RStreamSource::slotMismatch(const PacketSlot &slot,
 void
 RStreamSource::walkPacket()
 {
-    Packet packet = delayBuffer.pop();
+    PacketRecord &rec = records.push_back();
+    delayBuffer.popInto(rec.packet);
+    rec.rExec.clear();
+    rec.emitted = 0;
+    rec.retires = 0;
+    Packet &packet = rec.packet;
     const uint64_t num = packet.num;
 
-    PacketRecord rec;
-    rec.rExec.reserve(packet.slots.size());
-
-    BlockSlicer slicer(fetchWidth);
     bool divergence = false;
 
     for (size_t i = 0; i < packet.slots.size() && !divergence; ++i) {
@@ -228,7 +228,7 @@ RStreamSource::walkPacket()
                 mismatch = true;
         }
 
-        DynInst d;
+        DynInst &d = slicer.open(rPc, blocks);
         d.seq = nextSeq++;
         d.pc = rPc;
         d.si = si;
@@ -242,7 +242,7 @@ RStreamSource::walkPacket()
         rec.rExec.push_back(exec);
         ++rec.emitted;
 
-        slicer.push(d, rPc, blocks);
+        slicer.close(blocks);
 
         if (mismatch) {
             divergence = true;
@@ -267,24 +267,26 @@ RStreamSource::walkPacket()
     slicer.finish(blocks);
 
     rec.divergent = divergence;
-    rec.packet = std::move(packet);
-    records.emplace(num, std::move(rec));
     ++statPacketsWalked;
 }
 
 void
 RStreamSource::notifyRetire(const DynInst &d)
 {
-    auto it = records.find(d.packetSeq);
-    if (it == records.end())
+    // Packets retire in order; an older record still here lost its
+    // unfetched blocks to a recovery and can never complete.
+    while (!records.empty() && records.front().packet.num < d.packetSeq)
+        records.pop_front();
+    if (records.empty() || records.front().packet.num != d.packetSeq)
         return;
-    PacketRecord &rec = it->second;
+    PacketRecord &rec = records.front();
     ++rec.retires;
     if (rec.retires < rec.emitted)
         return;
     if (!rec.divergent && onPacketRetired)
         onPacketRetired(rec.packet, rec.rExec);
-    records.erase(it);
+    rec.packet = Packet{}; // its slots are done with; rExec is reused
+    records.pop_front();
 }
 
 void

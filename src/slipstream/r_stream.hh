@@ -23,11 +23,10 @@
 #ifndef SLIPSTREAM_SLIPSTREAM_R_STREAM_HH
 #define SLIPSTREAM_SLIPSTREAM_R_STREAM_HH
 
-#include <deque>
 #include <functional>
-#include <unordered_map>
 
 #include "assembler/program.hh"
+#include "common/ring.hh"
 #include "func/arch_state.hh"
 #include "mem/memory.hh"
 #include "slipstream/delay_buffer.hh"
@@ -102,11 +101,14 @@ class RStreamSource : public FetchSource
     DirectMemPort port;
     ArchState state_;
     DelayBuffer &delayBuffer;
-    unsigned fetchWidth;
 
     std::string output_;
-    std::deque<FetchBlock> blocks;
-    std::unordered_map<uint64_t, PacketRecord> records;
+    BlockQueue blocks;
+    BlockSlicer slicer;
+
+    // Walked packets, oldest first: packets retire in order. A popped
+    // record keeps its rExec storage for the next packet.
+    RecycleRing<PacketRecord> records;
 
     InstSeqNum nextSeq = 1;
     uint64_t walked = 0;

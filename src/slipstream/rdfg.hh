@@ -8,13 +8,18 @@
  * back-propagates: a producer is selected once it has been killed,
  * every consumer is known, all consumers are selected, and all lie in
  * the same trace.
+ *
+ * Storage is fixed: at most kMaxSlots nodes (the 64-bit ir-vec width)
+ * and kMaxProducers same-trace producers per node (two source
+ * registers plus one load's memory producer), so building a graph
+ * never allocates.
  */
 
 #ifndef SLIPSTREAM_SLIPSTREAM_RDFG_HH
 #define SLIPSTREAM_SLIPSTREAM_RDFG_HH
 
+#include <array>
 #include <cstdint>
-#include <vector>
 
 #include "slipstream/removal.hh"
 
@@ -25,8 +30,14 @@ namespace slip
 class Rdfg
 {
   public:
-    /** Begin a trace of `numSlots` instructions. */
-    explicit Rdfg(unsigned numSlots);
+    /** Slots per graph: one per ir-vec bit. */
+    static constexpr unsigned kMaxSlots = kMaxTraceSlots;
+
+    /** Same-trace producers per slot (rs1, rs2, load memory, spare). */
+    static constexpr unsigned kMaxProducers = 4;
+
+    /** Begin a trace of `numSlots` (<= kMaxSlots) instructions. */
+    explicit Rdfg(unsigned numSlots = 0);
 
     /**
      * Declare slot eligibility: instructions with irreversible side
@@ -34,7 +45,11 @@ class Rdfg
      */
     void setRemovable(unsigned slot, bool removable);
 
-    /** Add a same-trace dataflow edge producer -> consumer. */
+    /**
+     * Add a same-trace dataflow edge producer -> consumer. Repeated
+     * edges are kept: an instruction reading the same register twice
+     * counts as two consumers of its producer.
+     */
     void addEdge(unsigned producer, unsigned consumer);
 
     /** The producer has a consumer beyond this trace: pins it. */
@@ -55,34 +70,35 @@ class Rdfg
     bool selected(unsigned slot) const { return nodes[slot].selected; }
     uint8_t reasons(unsigned slot) const { return nodes[slot].reasons; }
 
-    unsigned numSlots() const
-    {
-        return static_cast<unsigned>(nodes.size());
-    }
+    unsigned numSlots() const { return count; }
 
     /** Removal bit vector over the slots (bit i = slot i selected). */
     uint64_t irVec() const;
 
-    /** Per-slot reason masks, aligned with irVec(). */
-    std::vector<uint8_t> reasonVector() const;
+    /** The computed plan: irVec() plus every slot's reason mask. */
+    RemovalPlan plan() const;
 
   private:
+    // No member initializers: the constructor initialises only the
+    // graph's live nodes, not all kMaxSlots.
     struct Node
     {
-        bool removable = true;
-        bool selected = false;
-        bool killed = false;
-        bool externalConsumer = false;
-        uint8_t reasons = 0;
-        uint16_t consumers = 0;
-        uint16_t selectedConsumers = 0;
-        uint8_t inheritedReasons = 0; // union of selected consumers'
-        std::vector<uint16_t> producers;
+        bool removable;
+        bool selected;
+        bool killed;
+        bool externalConsumer;
+        uint8_t reasons;
+        uint8_t inheritedReasons; // union of selected consumers'
+        uint8_t numProducers;
+        std::array<uint8_t, kMaxProducers> producers; // edge order
+        uint16_t consumers;
+        uint16_t selectedConsumers;
     };
 
     void tryPropagate(unsigned slot);
 
-    std::vector<Node> nodes;
+    std::array<Node, kMaxSlots> nodes; // the first `count` are live
+    unsigned count;
 };
 
 } // namespace slip

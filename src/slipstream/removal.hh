@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <vector>
 
 #include "common/types.hh"
 #include "uarch/trace.hh"
@@ -36,8 +35,11 @@ constexpr uint8_t kProp = 8; // selected via R-DFG back-propagation
 /** "BR", "SV", "P:SV,BR", ... matching the paper's Figure 8 legend. */
 std::string reasonName(uint8_t mask);
 
-/** Number of distinct reason masks (kProp|kSV|kWW|kBR span 4 bits). */
-constexpr unsigned kNumReasonMasks = 16;
+/** Reason bits per slot: kProp|kSV|kWW|kBR. */
+constexpr unsigned kNumReasonBits = 4;
+
+/** Number of distinct reason masks. */
+constexpr unsigned kNumReasonMasks = 1u << kNumReasonBits;
 
 /**
  * Per-reason-mask removal tallies, indexed by the reason mask itself.
@@ -53,11 +55,15 @@ std::map<std::string, uint64_t> reasonCountsByName(const ReasonCounts &c);
 /**
  * A removal plan for one trace: which slots the A-stream skips, and
  * why (the reasons ride along purely for statistics).
+ *
+ * Reasons are stored as bit planes, one 64-bit word per reason bit:
+ * bit i of reasons[k] set => slot i carries reason bit k. A plan is
+ * then a fixed 40 bytes, copied without allocating.
  */
 struct RemovalPlan
 {
     uint64_t irVec = 0; // bit i set => slot i removed
-    std::vector<uint8_t> reasons;
+    std::array<uint64_t, kNumReasonBits> reasons{};
 
     bool
     removes(unsigned slot) const
@@ -65,10 +71,29 @@ struct RemovalPlan
         return ((irVec >> slot) & 1) != 0;
     }
 
+    /** Replace slot's reason mask (slot < 64). */
+    void
+    setReason(unsigned slot, uint8_t mask)
+    {
+        const uint64_t bit = uint64_t(1) << slot;
+        for (unsigned k = 0; k < kNumReasonBits; ++k) {
+            if ((mask >> k) & 1)
+                reasons[k] |= bit;
+            else
+                reasons[k] &= ~bit;
+        }
+    }
+
+    /** The slot's reason mask; 0 for slots past the 64-slot plan. */
     uint8_t
     reasonAt(unsigned slot) const
     {
-        return slot < reasons.size() ? reasons[slot] : 0;
+        if (slot >= 64)
+            return 0;
+        uint8_t mask = 0;
+        for (unsigned k = 0; k < kNumReasonBits; ++k)
+            mask |= static_cast<uint8_t>(((reasons[k] >> slot) & 1) << k);
+        return mask;
     }
 
     unsigned removedCount() const { return popCount(irVec); }

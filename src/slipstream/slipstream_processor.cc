@@ -25,6 +25,7 @@ SlipstreamProcessor::SlipstreamProcessor(
                                                      params.recovery)),
       detector_(std::make_unique<IRDetector>(params.detector, *irPred))
 {
+    checkTracePolicy(params_.tracePolicy);
     program.loadInto(rMem);
     aPolicy_ = makeAStreamPolicy(params_.aPolicy);
     aSource_ = std::make_unique<AStreamSource>(

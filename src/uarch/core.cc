@@ -65,8 +65,8 @@ OoOCore::OoOCore(const CoreParams &params, FetchSource &source)
           c.name = params.name + ".dcache";
           return c;
       }()),
-      fetchBuffer(params.fetchBufferCap + params.fetchWidth),
-      rob(params.robSize), storeQueue(params.robSize),
+      window(params.robSize + params.fetchBufferCap + params.fetchWidth),
+      storeQueue(params.robSize),
       storeShadow(makeStoreShadow()),
       slotsUsed(kRingSize, 0), slotsTag(kRingSize, ~Cycle(0)),
       stats_(params.name)
@@ -132,14 +132,14 @@ OoOCore::tick(Cycle now)
     doDispatch(now);
     doFetch(now);
     if (checking) {
-        SLIP_INVARIANT(rob.size() <= params_.robSize, params_.name,
-                       ": ROB holds ", rob.size(), " > ", params_.robSize);
-        SLIP_INVARIANT(fetchBuffer.size() <= params_.fetchBufferCap,
+        SLIP_INVARIANT(dispatched <= params_.robSize, params_.name,
+                       ": ROB holds ", dispatched, " > ", params_.robSize);
+        SLIP_INVARIANT(fetchBufferSize() <= params_.fetchBufferCap,
                        params_.name, ": fetch buffer holds ",
-                       fetchBuffer.size(), " > ", params_.fetchBufferCap);
-        SLIP_INVARIANT(storeQueue.size() <= rob.size(), params_.name,
+                       fetchBufferSize(), " > ", params_.fetchBufferCap);
+        SLIP_INVARIANT(storeQueue.size() <= dispatched, params_.name,
                        ": ", storeQueue.size(), " queued stores in a ROB of ",
-                       rob.size());
+                       dispatched);
     }
     // Coarse per-core throughput samples; the core tag (first byte of
     // the stats name, 'a'/'r'/'c') rides in arg1 to keep the tracks
@@ -160,9 +160,9 @@ void
 OoOCore::doRetire(Cycle now, bool checking)
 {
     unsigned count = 0;
-    while (count < params_.retireWidth && !rob.empty() &&
-           rob.front().completeAt <= now) {
-        const DynInst &d = rob.front().d;
+    while (count < params_.retireWidth && dispatched > 0 &&
+           window.front().at <= now) {
+        const DynInst &d = window.front().d;
         if (onRetire && !onRetire(d, now))
             break; // back-pressure: retry next cycle
         if (checking) {
@@ -186,7 +186,8 @@ OoOCore::doRetire(Cycle now, bool checking)
             halted_ = true;
         if (d.si.isStore())
             storeQueue.pop_front();
-        rob.pop_front();
+        window.pop_front();
+        --dispatched;
         ++count;
         if (halted_)
             return;
@@ -221,10 +222,10 @@ void
 OoOCore::doDispatch(Cycle now)
 {
     unsigned count = 0;
-    while (count < params_.dispatchWidth && !fetchBuffer.empty() &&
-           fetchBuffer.front().readyAt <= now &&
-           rob.size() < params_.robSize) {
-        DynInst &d = fetchBuffer.front().d;
+    while (count < params_.dispatchWidth && dispatched < window.size() &&
+           window[dispatched].at <= now && dispatched < params_.robSize) {
+        WindowEntry &e = window[dispatched];
+        const DynInst &d = e.d;
         ++count;
         ++numDispatched;
 
@@ -287,8 +288,8 @@ OoOCore::doDispatch(Cycle now)
                 fetchBlockedOnBranch = false;
         }
 
-        rob.emplace_back(std::move(d), completeAt);
-        fetchBuffer.pop_front();
+        e.at = completeAt; // now a ROB entry
+        ++dispatched;
     }
 }
 
@@ -297,10 +298,11 @@ OoOCore::doFetch(Cycle now)
 {
     if (halted_ || fetchBlockedOnBranch || now < fetchResumeAt)
         return;
-    if (fetchBuffer.size() + params_.fetchWidth > params_.fetchBufferCap)
+    if (fetchBufferSize() + params_.fetchWidth > params_.fetchBufferCap)
         return;
 
-    FetchBlock block;
+    FetchBlock &block = fetchBlock;
+    block.insts.clear(); // a source may append to what it is handed
     if (!source.nextBlock(block))
         return;
     if (block.insts.empty())
@@ -330,7 +332,7 @@ OoOCore::doFetch(Cycle now)
     }
 
     const Cycle readyAt = now + params_.fetchToDispatch + extra;
-    for (DynInst &d : block.insts) {
+    for (const DynInst &d : block.insts) {
         ++numFetched;
         if (d.fetchOnly) {
             // Removed by the ir-vec between fetch and decode: consumes
@@ -347,7 +349,7 @@ OoOCore::doFetch(Cycle now)
             fetchBlockedOnBranch = true;
             blockedBranchSeq = d.seq;
         }
-        fetchBuffer.emplace_back(std::move(d), readyAt);
+        window.emplace_back(d, readyAt);
     }
 }
 
@@ -355,12 +357,12 @@ void
 OoOCore::flush(Cycle now, Cycle resumeFetchAt)
 {
     SLIP_TRACE(obs::Category::Core, obs::Name::CoreFlush,
-               obs::Phase::Instant, fetchBuffer.size() + rob.size(),
+               obs::Phase::Instant, window.size(),
                params_.name.empty()
                    ? '?'
                    : static_cast<unsigned char>(params_.name[0]));
-    fetchBuffer.clear();
-    rob.clear();
+    window.clear();
+    dispatched = 0;
     regReady.fill(now);
     storeQueue.clear();
     storeShadow = makeStoreShadow();

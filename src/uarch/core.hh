@@ -149,11 +149,7 @@ class OoOCore
     bool halted() const { return halted_; }
 
     /** In-flight work (ROB plus fetch buffer). */
-    bool
-    pipelineEmpty() const
-    {
-        return rob.empty() && fetchBuffer.empty();
-    }
+    bool pipelineEmpty() const { return window.empty(); }
 
     /**
      * Full pipeline flush (slipstream recovery): discards in-flight
@@ -186,16 +182,14 @@ class OoOCore
     uint64_t branchMispredicts() const { return numBranchMispredicts; }
 
   private:
-    struct FetchEntry
+    /**
+     * One fetched instruction: in the fetch buffer until dispatch,
+     * then in the ROB until retirement, without moving.
+     */
+    struct WindowEntry
     {
         DynInst d;
-        Cycle readyAt; // earliest dispatch cycle
-    };
-
-    struct RobEntry
-    {
-        DynInst d;
-        Cycle completeAt;
+        Cycle at; // fetch buffer: earliest dispatch; ROB: completion
     };
 
     /** A dispatched, not yet retired store: the 8-byte words it covers. */
@@ -231,8 +225,16 @@ class OoOCore
     Cache icache_;
     Cache dcache_;
 
-    FixedRing<FetchEntry> fetchBuffer;
-    FixedRing<RobEntry> rob;
+    // The instruction window, oldest first: the first `dispatched`
+    // entries are the ROB, the rest the fetch buffer.
+    FixedRing<WindowEntry> window;
+    size_t dispatched = 0;
+
+    size_t fetchBufferSize() const { return window.size() - dispatched; }
+
+    // The block being fetched; its storage is swapped with the
+    // source's, so fetching a block does not allocate.
+    FetchBlock fetchBlock;
 
     std::array<Cycle, kNumRegs> regReady{};
 

@@ -39,36 +39,39 @@ buildStaticTrace(const Program &program, Addr startPc,
     return id;
 }
 
-void
-BlockSlicer::push(const DynInst &d, Addr fetchAddr,
-                  std::deque<FetchBlock> &out)
+DynInst &
+BlockSlicer::open(Addr fetchAddr, BlockQueue &out)
 {
-    const bool discontinuous = open && fetchAddr != nextAddr;
-    if (open && (discontinuous || current.insts.size() >= maxBlock))
+    const bool discontinuous = isOpen && fetchAddr != nextAddr;
+    if (isOpen && (discontinuous || current.insts.size() >= maxBlock))
         finish(out);
 
-    if (!open) {
+    if (!isOpen) {
         current.startAddr = fetchAddr;
         current.insts.reserve(maxBlock);
-        open = true;
+        isOpen = true;
     }
-    current.insts.push_back(d);
     nextAddr = fetchAddr + kInstBytes;
+    return current.insts.emplace_back();
+}
 
+void
+BlockSlicer::close(BlockQueue &out)
+{
     // Blocks end at taken control flow and after mispredictions (the
     // core must not see past a front-end redirect point).
+    const DynInst &d = current.insts.back();
     const bool takenControl = d.exec.isControl && d.exec.taken;
     if (takenControl || d.mispredicted || d.si.isHalt())
         finish(out);
 }
 
 void
-BlockSlicer::finish(std::deque<FetchBlock> &out)
+BlockSlicer::finish(BlockQueue &out)
 {
-    if (open && !current.insts.empty())
-        out.push_back(std::move(current));
-    current = FetchBlock{};
-    open = false;
+    if (isOpen && !current.insts.empty())
+        out.push(current);
+    isOpen = false;
 }
 
 TraceFetchSource::TraceFetchSource(const Program &program,
@@ -115,8 +118,7 @@ TraceFetchSource::nextBlock(FetchBlock &block)
             return false;
         walkTrace();
     }
-    block = std::move(blocks.front());
-    blocks.pop_front();
+    blocks.popInto(block);
     return true;
 }
 
@@ -155,15 +157,15 @@ TraceFetchSource::walkTrace()
         std::min<unsigned>(guess.length ? guess.length : policy.maxLen,
                            policy.maxLen);
 
-    DynInst last;
-    bool anyEmitted = false;
+    const StaticInst *lastSi = nullptr; // the trace's last instruction
+    InstSeqNum lastSeq = 0;
     bool truncated = false;
 
     while (actual.length < lengthCap) {
         const Addr pc = state_.pc();
         const StaticInst &si = program.fetch(pc);
 
-        DynInst d;
+        DynInst &d = slicer.open(pc, blocks);
         d.seq = nextSeq++;
         d.pc = pc;
         d.si = si;
@@ -196,21 +198,20 @@ TraceFetchSource::walkTrace()
         if (si.isHalt())
             haltWalked = true;
 
-        slicer.push(d, pc, blocks);
-        last = d;
-        anyEmitted = true;
+        lastSi = &si;
+        lastSeq = d.seq;
+        slicer.close(blocks);
 
         if (truncated || structuralEnd)
             break;
     }
 
-    SLIP_ASSERT(anyEmitted, "walked an empty trace at pc 0x", std::hex,
+    SLIP_ASSERT(lastSi, "walked an empty trace at pc 0x", std::hex,
                 startPc);
 
     // --- update speculative history with the actual trace ---
     history.push(actual);
-    pendingTrain.emplace(
-        traceNum, PendingTrain{historyBefore, actual, last.seq});
+    pendingTrain.push_back() = PendingTrain{historyBefore, actual, lastSeq};
 
     if (truncated)
         ++statTraceMispredicts;
@@ -222,13 +223,12 @@ TraceFetchSource::walkTrace()
 
     // --- validate the next fetch address (JALR target prediction) ---
     const Addr actualNext = state_.pc();
-    if (last.si.isIndirectJump() && !truncated) {
+    if (lastSi->isIndirectJump() && !truncated) {
         std::optional<TraceId> next = predictor.predict(history);
         Addr predictedTarget = 0;
         if (next && next->valid()) {
             predictedTarget = next->startPc;
-        } else if (last.si.rs1 == reg::ra &&
-                   last.si.rd == reg::zero) {
+        } else if (lastSi->rs1 == reg::ra && lastSi->rd == reg::zero) {
             predictedTarget = ras.pop(); // return: use the RAS
         }
         if (predictedTarget != actualNext) {
@@ -239,7 +239,7 @@ TraceFetchSource::walkTrace()
             SLIP_ASSERT(!blocks.empty() && !blocks.back().insts.empty(),
                         "indirect jump block missing");
             blocks.back().insts.back().mispredicted = true;
-        } else if (last.si.rs1 == reg::ra && last.si.rd == reg::zero &&
+        } else if (lastSi->rs1 == reg::ra && lastSi->rd == reg::zero &&
                    next && next->valid()) {
             // Predictor supplied the target; keep the RAS balanced.
             ras.pop();
@@ -252,15 +252,15 @@ TraceFetchSource::walkTrace()
 }
 
 void
-TraceFetchSource::notifyRetire(const DynInst &d)
+TraceFetchSource::trainPending(InstSeqNum seq)
 {
-    auto it = pendingTrain.find(d.packetSeq);
-    if (it == pendingTrain.end())
-        return;
-    if (d.seq != it->second.lastSeq)
-        return;
-    predictor.update(it->second.history, it->second.actual);
-    pendingTrain.erase(it);
+    while (!pendingTrain.empty() && pendingTrain.front().lastSeq < seq)
+        pendingTrain.pop_front(); // its last instruction was flushed
+    if (!pendingTrain.empty() && pendingTrain.front().lastSeq == seq) {
+        const PendingTrain &t = pendingTrain.front();
+        predictor.update(t.history, t.actual);
+        pendingTrain.pop_front();
+    }
 }
 
 } // namespace slip

@@ -21,11 +21,10 @@
 #ifndef SLIPSTREAM_UARCH_FETCH_SOURCE_HH
 #define SLIPSTREAM_UARCH_FETCH_SOURCE_HH
 
-#include <deque>
 #include <optional>
-#include <unordered_map>
 
 #include "assembler/program.hh"
+#include "common/ring.hh"
 #include "func/arch_state.hh"
 #include "func/executor.hh"
 #include "mem/memory.hh"
@@ -48,10 +47,55 @@ TraceId buildStaticTrace(const Program &program, Addr startPc,
                          const TracePolicy &policy = {});
 
 /**
+ * Completed fetch blocks awaiting the core. Block storage is recycled:
+ * push() and popInto() swap instruction vectors with the caller, so
+ * the vectors circulate between the slicer, this queue and the core
+ * and, once each has grown to a full block, nothing allocates.
+ */
+class BlockQueue
+{
+  public:
+    bool empty() const { return ring.empty(); }
+
+    /** The most recently pushed block. */
+    FetchBlock &back() { return ring.back(); }
+
+    /** Append `b`'s instructions; `b` gets back an empty vector. */
+    void
+    push(FetchBlock &b)
+    {
+        FetchBlock &slot = ring.push_back();
+        slot.startAddr = b.startAddr;
+        slot.insts.swap(b.insts);
+        b.insts.clear();
+    }
+
+    /** Hand the oldest block to `out`, keeping out's old storage. */
+    void
+    popInto(FetchBlock &out)
+    {
+        FetchBlock &slot = ring.front();
+        out.startAddr = slot.startAddr;
+        out.insts.swap(slot.insts);
+        ring.pop_front();
+    }
+
+    /** Drop every pending block (recovery). */
+    void clear() { ring.clear(); }
+
+  private:
+    RecycleRing<FetchBlock> ring;
+};
+
+/**
  * Slices a stream of walked instructions into fetch blocks: a block
  * ends at taken control flow, at fetch-width capacity, at any
  * discontinuity in the fetch address (A-stream skip points), and
  * after a mispredicted instruction (core contract).
+ *
+ * Instructions are written in place: open() returns the next slot of
+ * the current block, the walker fills it, and close() applies the
+ * end-of-block rules to it.
  */
 class BlockSlicer
 {
@@ -61,22 +105,24 @@ class BlockSlicer
     {}
 
     /**
-     * Append one instruction.
-     * @param fetchAddr the address the front end fetches this
-     *        instruction from (== d.pc in every current model)
+     * Start the next instruction and return its default-initialised
+     * slot.
+     * @param fetchAddr the address the front end fetches it from
      * @param out completed blocks are appended here
      */
-    void push(const DynInst &d, Addr fetchAddr,
-              std::deque<FetchBlock> &out);
+    DynInst &open(Addr fetchAddr, BlockQueue &out);
+
+    /** The slot from open() is filled: end the block if it must. */
+    void close(BlockQueue &out);
 
     /** Flush the in-progress block (end of trace). */
-    void finish(std::deque<FetchBlock> &out);
+    void finish(BlockQueue &out);
 
   private:
     unsigned maxBlock;
     FetchBlock current;
     Addr nextAddr = 0; // expected fetchAddr for sequential flow
-    bool open = false;
+    bool isOpen = false;
 };
 
 /**
@@ -110,7 +156,13 @@ class TraceFetchSource : public FetchSource
      * instruction: trains the trace predictor with the actual trace
      * once its last instruction retires (modeling update latency).
      */
-    void notifyRetire(const DynInst &d);
+    void
+    notifyRetire(const DynInst &d)
+    {
+        // Fast reject: every instruction but a trace's last.
+        if (!pendingTrain.empty() && d.seq >= pendingTrain.front().lastSeq)
+            trainPending(d.seq);
+    }
 
     const std::string &output() const { return output_; }
     Memory &memory() { return mem; }
@@ -136,21 +188,28 @@ class TraceFetchSource : public FetchSource
     std::optional<TraceId> cachedNextPred; // consumed by next walk
     bool cachedNextPredValid = false;
 
-    std::deque<FetchBlock> blocks;
+    BlockQueue blocks;
     BlockSlicer slicer;
 
     InstSeqNum nextSeq = 1;
     uint64_t nextTraceNum = 0;
     bool haltWalked = false;
 
-    /** Pending predictor training, keyed by trace number. */
+    /**
+     * Pending predictor training, oldest trace first. Instructions
+     * retire in seq order, so only the front can train next; a front
+     * whose last instruction was flushed is dropped once a younger
+     * instruction retires.
+     */
     struct PendingTrain
     {
         PathHistory history; // history *before* this trace
         TraceId actual;
         InstSeqNum lastSeq;
     };
-    std::unordered_map<uint64_t, PendingTrain> pendingTrain;
+    RecycleRing<PendingTrain> pendingTrain;
+
+    void trainPending(InstSeqNum seq);
 
     StatGroup stats_;
     StatGroup::Handle statTracesPredicted{

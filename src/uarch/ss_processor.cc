@@ -22,6 +22,7 @@ SSProcessor::SSProcessor(const Program &program,
                                                  tracePolicy)),
       core_(std::make_unique<OoOCore>(coreParams, *source_))
 {
+    checkTracePolicy(tracePolicy);
     core_->onRetire = [this](const DynInst &d, Cycle) {
         source_->notifyRetire(d);
         return true;

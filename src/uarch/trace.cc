@@ -2,8 +2,18 @@
 
 #include <sstream>
 
+#include "common/logging.hh"
+
 namespace slip
 {
+
+void
+checkTracePolicy(const TracePolicy &policy)
+{
+    if (policy.maxLen == 0 || policy.maxLen > kMaxTraceSlots)
+        SLIP_FATAL("trace policy maxLen must be in [1, ", kMaxTraceSlots,
+                   "], got ", policy.maxLen);
+}
 
 std::string
 to_string(const TraceId &id)

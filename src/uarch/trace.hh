@@ -37,6 +37,12 @@ namespace slip
 constexpr unsigned kMaxTraceLen = 32;
 
 /**
+ * Longest trace any policy may select: ir-vecs, store masks and R-DFGs
+ * hold one bit or node per slot in 64.
+ */
+constexpr unsigned kMaxTraceSlots = 64;
+
+/**
  * Trace selection policy. `endAtBackwardTaken` additionally terminates
  * traces after a taken backward branch (loop-closing edge). This keeps
  * trace boundaries phase-aligned with loop iterations, which the
@@ -51,6 +57,9 @@ struct TracePolicy
     unsigned maxLen = kMaxTraceLen;
     bool endAtBackwardTaken = true;
 };
+
+/** SLIP_FATAL unless 1 <= policy.maxLen <= kMaxTraceSlots. */
+void checkTracePolicy(const TracePolicy &policy);
 
 /**
  * Should the trace end *after* this instruction? `taken` is the

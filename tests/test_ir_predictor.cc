@@ -18,7 +18,8 @@ plan(uint64_t irVec)
 {
     RemovalPlan p;
     p.irVec = irVec;
-    p.reasons.assign(8, reason::kBR);
+    for (unsigned i = 0; i < 8; ++i)
+        p.setReason(i, reason::kBR);
     return p;
 }
 
@@ -144,8 +145,9 @@ TEST(IRPredictor, ReasonsRideAlong)
     PathHistory h;
     const TraceId t = traceAt(0x1000);
     RemovalPlan p = plan(0b100);
-    p.reasons.assign(8, 0);
-    p.reasons[2] = reason::kSV;
+    for (unsigned i = 0; i < 8; ++i)
+        p.setReason(i, 0);
+    p.setReason(2, reason::kSV);
     pred.update(h, t, p);
     pred.update(h, t, p);
     auto got = pred.lookup(h, t);
@@ -154,6 +156,33 @@ TEST(IRPredictor, ReasonsRideAlong)
     EXPECT_TRUE(got->removes(2));
     EXPECT_FALSE(got->removes(1));
     EXPECT_EQ(got->removedCount(), 1u);
+}
+
+TEST(RemovalPlan, ReasonBitPlanesRoundTrip)
+{
+    for (const unsigned slot : {0u, 31u, 63u}) {
+        for (unsigned mask = 0; mask < kNumReasonMasks; ++mask) {
+            RemovalPlan p;
+            p.setReason(slot, 0xF);
+            p.setReason(slot, static_cast<uint8_t>(mask)); // overwrites
+            EXPECT_EQ(p.reasonAt(slot), mask) << "slot " << slot;
+            for (const unsigned other : {0u, 1u, 30u, 32u, 62u, 63u}) {
+                if (other != slot) {
+                    EXPECT_EQ(p.reasonAt(other), 0) << other;
+                }
+            }
+        }
+    }
+}
+
+TEST(RemovalPlan, ReasonsPastThePlanReadZero)
+{
+    RemovalPlan p;
+    for (unsigned i = 0; i < 64; ++i)
+        p.setReason(i, reason::kProp | reason::kBR);
+    EXPECT_EQ(p.reasonAt(63), uint8_t(reason::kProp | reason::kBR));
+    EXPECT_EQ(p.reasonAt(64), 0);
+    EXPECT_EQ(p.reasonAt(1000), 0);
 }
 
 TEST(ReasonName, PaperCategories)

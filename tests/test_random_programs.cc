@@ -189,7 +189,8 @@ class HostileIRPredictor : public IRPredictor
         }
         if (!plan.irVec)
             return std::nullopt;
-        plan.reasons.assign(predicted.length, reason::kBR);
+        for (unsigned i = 0; i < predicted.length; ++i)
+            plan.setReason(i, reason::kBR);
         return plan;
     }
 };

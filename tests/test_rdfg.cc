@@ -103,11 +103,12 @@ TEST(Rdfg, ReasonVectorMatchesSlots)
     Rdfg g(3);
     g.select(0, reason::kWW);
     g.select(2, reason::kBR);
-    const auto reasons = g.reasonVector();
-    ASSERT_EQ(reasons.size(), 3u);
-    EXPECT_EQ(reasons[0], reason::kWW);
-    EXPECT_EQ(reasons[1], 0);
-    EXPECT_EQ(reasons[2], reason::kBR);
+    const RemovalPlan plan = g.plan();
+    EXPECT_EQ(plan.irVec, 0b101u);
+    EXPECT_EQ(plan.reasonAt(0), reason::kWW);
+    EXPECT_EQ(plan.reasonAt(1), 0);
+    EXPECT_EQ(plan.reasonAt(2), reason::kBR);
+    EXPECT_EQ(plan.reasonAt(3), 0); // past the trace
 }
 
 TEST(Rdfg, DoubleSelectionMergesReasons)
@@ -117,6 +118,63 @@ TEST(Rdfg, DoubleSelectionMergesReasons)
     g.select(0, reason::kSV);
     EXPECT_EQ(g.reasons(0), uint8_t(reason::kWW | reason::kSV));
     EXPECT_EQ(g.irVec(), 0b1u);
+}
+
+TEST(Rdfg, DuplicateEdgeCountsTwoConsumers)
+{
+    // Slot 1 reads slot 0's register twice (rs1 == rs2): two edges.
+    // Slot 2 reads it once. Selecting slot 1 alone is 2 of 3.
+    Rdfg g(3);
+    g.addEdge(0, 1);
+    g.addEdge(0, 1);
+    g.addEdge(0, 2);
+    g.kill(0);
+    g.select(1, reason::kBR);
+    EXPECT_FALSE(g.selected(0));
+    g.select(2, reason::kSV);
+    EXPECT_TRUE(g.selected(0));
+    EXPECT_EQ(g.reasons(0),
+              uint8_t(reason::kProp | reason::kBR | reason::kSV));
+}
+
+TEST(Rdfg, DuplicateEdgeNeedsItsConsumerSelected)
+{
+    // With both edges from one consumer, that consumer alone
+    // completes the producer's consumer set.
+    Rdfg g(2);
+    g.addEdge(0, 1);
+    g.addEdge(0, 1);
+    g.kill(0);
+    g.select(1, reason::kWW);
+    EXPECT_TRUE(g.selected(0));
+    EXPECT_EQ(g.irVec(), 0b11u);
+}
+
+TEST(Rdfg, FullWidthChainPropagatesAcross64Slots)
+{
+    // Slot i+1 reads slot i twice; every write is killed. Selecting
+    // the last slot back-propagates to slot 0.
+    Rdfg g(Rdfg::kMaxSlots);
+    for (unsigned i = 0; i + 1 < Rdfg::kMaxSlots; ++i) {
+        g.addEdge(i, i + 1);
+        g.addEdge(i, i + 1);
+        g.kill(i);
+    }
+    g.select(Rdfg::kMaxSlots - 1, reason::kBR);
+    EXPECT_EQ(g.irVec(), ~uint64_t(0));
+    const RemovalPlan plan = g.plan();
+    EXPECT_EQ(plan.irVec, ~uint64_t(0));
+    EXPECT_EQ(plan.reasonAt(63), reason::kBR);
+    EXPECT_EQ(plan.reasonAt(0), uint8_t(reason::kProp | reason::kBR));
+}
+
+TEST(Rdfg, FixedCapacityBoundsPanic)
+{
+    EXPECT_THROW(Rdfg g(Rdfg::kMaxSlots + 1), PanicError);
+    Rdfg g(2);
+    for (unsigned i = 0; i < Rdfg::kMaxProducers; ++i)
+        g.addEdge(0, 1);
+    EXPECT_THROW(g.addEdge(0, 1), PanicError);
 }
 
 TEST(Rdfg, OutOfRangePanics)

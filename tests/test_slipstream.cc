@@ -56,6 +56,31 @@ TEST(Slipstream, OutputMatchesFunctionalSim)
     EXPECT_EQ(r.output, golden(p));
 }
 
+TEST(Slipstream, RejectsTraceLengthsPast64)
+{
+    Program p = assemble(kRemovableProgram);
+    for (const unsigned len : {0u, 65u, 256u}) {
+        SlipstreamParams params;
+        params.tracePolicy.maxLen = len;
+        EXPECT_THROW(SlipstreamProcessor(p, params), FatalError) << len;
+    }
+}
+
+TEST(Slipstream, RunsFullWidthTraces)
+{
+    // 64-slot traces fill the R-DFG and the ir-vec exactly.
+    Program p = assemble(kRemovableProgram);
+    FuncSim func(p);
+    const FuncRunResult golden = func.run();
+    SlipstreamParams params;
+    params.tracePolicy.maxLen = kMaxTraceSlots;
+    params.tracePolicy.endAtBackwardTaken = false;
+    SlipstreamProcessor proc(p, params);
+    const SlipstreamRunResult r = proc.run();
+    EXPECT_TRUE(r.halted);
+    EXPECT_EQ(r.output, golden.output);
+}
+
 TEST(Slipstream, RemovesInstructionsWithConfidence)
 {
     Program p = assemble(kRemovableProgram);
@@ -155,7 +180,8 @@ class RemoveEverythingPredictor : public IRPredictor
     {
         RemovalPlan plan;
         plan.irVec = (uint64_t(1) << predicted.length) - 1;
-        plan.reasons.assign(predicted.length, reason::kBR);
+        for (unsigned i = 0; i < predicted.length; ++i)
+            plan.setReason(i, reason::kBR);
         return plan;
     }
 };
@@ -179,7 +205,8 @@ class RandomRemovalPredictor : public IRPredictor
         }
         if (plan.irVec == 0)
             return std::nullopt;
-        plan.reasons.assign(predicted.length, reason::kWW);
+        for (unsigned i = 0; i < predicted.length; ++i)
+            plan.setReason(i, reason::kWW);
         return plan;
     }
 

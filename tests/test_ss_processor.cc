@@ -51,6 +51,24 @@ TEST(SSProcessor, MatchesFunctionalSimulator)
     EXPECT_EQ(r.retired, golden.instCount);
 }
 
+TEST(SSProcessor, RejectsTraceLengthsPast64)
+{
+    // ir-vecs and store masks hold one bit per slot: a longer trace
+    // would shift past bit 63 (and overflow TraceId::length past 255).
+    Program p = assemble(kLoopProgram);
+    for (const unsigned len : {0u, 65u, 256u, 300u}) {
+        TracePolicy policy;
+        policy.maxLen = len;
+        EXPECT_THROW(SSProcessor(p, CoreParams{}, TracePredParams{}, policy),
+                     FatalError)
+            << len;
+    }
+    TracePolicy widest;
+    widest.maxLen = kMaxTraceSlots;
+    SSProcessor proc(p, CoreParams{}, TracePredParams{}, widest);
+    EXPECT_TRUE(proc.run().halted);
+}
+
 TEST(SSProcessor, IpcIsPlausible)
 {
     Program p = assemble(kLoopProgram);

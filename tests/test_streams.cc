@@ -123,7 +123,8 @@ TEST(Streams, RecoveryLeavesContextsConverged)
         {
             RemovalPlan plan;
             plan.irVec = (uint64_t(1) << predicted.length) - 1;
-            plan.reasons.assign(predicted.length, reason::kWW);
+            for (unsigned i = 0; i < predicted.length; ++i)
+                plan.setReason(i, reason::kWW);
             return plan;
         }
     };

@@ -7,7 +7,8 @@
  *       wall-clock records bench_timing writes) into the committed
  *       BENCH_slipstream.json schema, deriving dispatch speedup
  *       ratios (threaded/legacy etc.), the ORT scope-eviction size
- *       ratio and the OoO core's store-footprint ratio, which are
+ *       ratio, the OoO core's store-footprint ratio and the
+ *       IR-detector's dense-vs-flat dataflow ratio, which are
  *       machine-portable and therefore what CI gates on.
  *
  *   bench_diff <baseline.json> <new.json> [--filter <substr>]
@@ -298,9 +299,9 @@ extractGbench(const Json &root)
             out.push_back({n + ":insts/s", r, "insts/s", true});
         if (const double r = counterOf(b, "bytes_per_second"))
             out.push_back({n + ":bytes/s", r, "bytes/s", true});
-        // Per-size timings BM_OrtScopeEviction and BM_CoreStoreWindow
-        // measure themselves.
-        for (const char *size : {"64", "65536", "1M"})
+        // Per-size (per-shape) timings BM_OrtScopeEviction,
+        // BM_CoreStoreWindow and BM_IRDetectorTrace measure themselves.
+        for (const char *size : {"64", "65536", "1M", "dense", "flat"})
             if (const double t =
                     counterOf(b, (std::string("ns_at_") + size).c_str()))
                 out.push_back({n + "/" + size + ":ns", t, "ns", false});
@@ -342,6 +343,14 @@ extractGbench(const Json &root)
     if (storeSmall > 0 && storeLarge > 0)
         out.push_back({"speedup/core_store_large_vs_small",
                        storeSmall / storeLarge, "ratio", true});
+
+    // IR-detector traces with two same-trace edges per slot vs none:
+    // near 1 when an R-DFG edge is a few stores into fixed storage.
+    const double detectFlat = valueOf("BM_IRDetectorTrace/flat:ns");
+    const double detectDense = valueOf("BM_IRDetectorTrace/dense:ns");
+    if (detectFlat > 0 && detectDense > 0)
+        out.push_back({"speedup/irdetect_dense_vs_flat",
+                       detectFlat / detectDense, "ratio", true});
     return out;
 }
 

@@ -15,7 +15,6 @@
 
 #include "common/env.hh"
 #include "common/logging.hh"
-#include "func/exec_engine.hh"
 #include "harness/experiment.hh"
 #include "harness/sim_runner.hh"
 #include "harness/table.hh"
@@ -82,12 +81,11 @@ inline void
 banner(const std::string &artifact, const std::string &paperNote)
 {
     // Resolve every environment knob before muting warnings so bad
-    // SLIPSTREAM_BENCH_SIZE / SLIPSTREAM_JOBS / SLIPSTREAM_DISPATCH /
-    // supervision / SLIPSTREAM_TRACE values are reported instead of
-    // silently falling back.
+    // SLIPSTREAM_BENCH_SIZE / SLIPSTREAM_JOBS / supervision /
+    // SLIPSTREAM_TRACE values are reported instead of silently falling
+    // back.
     const char *size = benchSizeName();
     const unsigned jobs = defaultJobs();
-    defaultDispatch();
     const Supervision supervision = Supervision::fromEnv();
     const obs::TraceConfig trace = obs::TraceSession::global().config();
     envFlag("SLIPSTREAM_CAMPAIGN_RESUME", false);

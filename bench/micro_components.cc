@@ -2,14 +2,17 @@
  * Component microbenchmarks (google-benchmark): throughput of the
  * hot structures — trace predictor lookup/update, IR-detector trace
  * merging, operand-rename-table scope eviction, the OoO core's store
- * window, cache access, the assembler, and the functional simulator.
- * These guard the *simulator's* own performance (host MIPS), which
- * bounds how large the paper-scale experiments can be.
+ * window, cache access, the assembler, the functional simulator, and
+ * the whole SS and slipstream cycle models. These guard the
+ * *simulator's* own performance (host MIPS), which bounds how large
+ * the paper-scale experiments can be.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <chrono>
+#include <optional>
 #include <vector>
 
 #include "assembler/assembler.hh"
@@ -17,10 +20,13 @@
 #include "func/func_sim.hh"
 #include "mem/memory.hh"
 #include "mem/cache.hh"
+#include "oracle/ssir_oracle.hh"
 #include "slipstream/ir_detector.hh"
 #include "slipstream/ir_predictor.hh"
 #include "slipstream/operand_rename_table.hh"
+#include "slipstream/slipstream_processor.hh"
 #include "uarch/core.hh"
+#include "uarch/ss_processor.hh"
 #include "uarch/trace_pred.hh"
 #include "workloads/workloads.hh"
 
@@ -386,10 +392,14 @@ BM_FunctionalSimMips(benchmark::State &state)
 BENCHMARK(BM_FunctionalSimMips);
 
 // Same workload pinned to each dispatch engine, so the regression
-// gate can track the threaded/legacy speedup ratio (machine-portable,
-// unlike raw insts/s).
+// gate can track each engine's speedup over the per-instruction
+// reference loop (machine-portable, unlike raw insts/s). `legacy`
+// (no engine) is that loop: the hand-written reference executor
+// stepped once per instruction (Program::fetch, execute, count the
+// retire).
 void
-BM_FunctionalSimDispatch(benchmark::State &state, DispatchKind kind)
+BM_FunctionalSimDispatch(benchmark::State &state,
+                         std::optional<DispatchKind> kind)
 {
     if (kind == DispatchKind::Threaded && !threadedDispatchCompiled()) {
         state.SkipWithError("threaded dispatch not compiled in");
@@ -399,19 +409,105 @@ BM_FunctionalSimDispatch(benchmark::State &state, DispatchKind kind)
         assemble(getWorkload("jpeg", WorkloadSize::Test).source);
     uint64_t insts = 0;
     for (auto _ : state) {
-        FuncSim sim(p);
-        sim.setDispatch(kind);
-        insts += sim.run().instCount;
+        if (kind) {
+            FuncSim sim(p);
+            sim.setDispatch(*kind);
+            insts += sim.run().instCount;
+        } else {
+            OracleSim sim(p);
+            insts += sim.run().instCount;
+        }
     }
     state.counters["insts/s"] = benchmark::Counter(
         double(insts), benchmark::Counter::kIsRate);
 }
 BENCHMARK_CAPTURE(BM_FunctionalSimDispatch, legacy,
-                  DispatchKind::Legacy);
+                  std::optional<DispatchKind>());
 BENCHMARK_CAPTURE(BM_FunctionalSimDispatch, switch_,
-                  DispatchKind::Switch);
+                  std::optional(DispatchKind::Switch));
 BENCHMARK_CAPTURE(BM_FunctionalSimDispatch, threaded,
-                  DispatchKind::Threaded);
+                  std::optional(DispatchKind::Threaded));
+
+// The whole cycle models against the functional core in the same
+// binary: SS(64x4) and the slipstream CMP under the `ir` policy run
+// two paper programs at `test` size, and FuncSim runs the same
+// programs. Only run() is timed, not construction. Each iteration runs
+// all three on each program, and each (program, model) pair keeps its
+// fastest run, so a burst of host load during one run does not skew a
+// side. The counters are ns per retired instruction over both
+// programs; bench_diff derives speedup/{ss,cmp}_vs_func = simulated
+// insts/s over functional insts/s = ns_at_func / ns_at_{ss,cmp}.
+void
+BM_CycleModel(benchmark::State &state)
+{
+    std::vector<Program> programs;
+    for (const char *name : {"compress", "m88ksim"})
+        programs.push_back(
+            assemble(getWorkload(name, WorkloadSize::Test).source));
+    SlipstreamParams cmpParams;
+    cmpParams.aPolicy.kind = AStreamPolicyKind::IRRemoval;
+
+    enum Model { Func, SS, CMP, NumModels };
+    struct Best
+    {
+        double ns = 0;
+        uint64_t insts = 0;
+        void
+        note(double runNs, uint64_t runInsts)
+        {
+            if (insts == 0 || runNs < ns)
+                ns = runNs;
+            insts = runInsts;
+        }
+    };
+    std::vector<std::array<Best, NumModels>> best(programs.size());
+
+    using Clock = std::chrono::steady_clock;
+    const auto nsSince = [](Clock::time_point start) {
+        return std::chrono::duration<double, std::nano>(Clock::now() -
+                                                        start)
+            .count();
+    };
+    for (auto _ : state) {
+        for (size_t i = 0; i < programs.size(); ++i) {
+            const Program &p = programs[i];
+            FuncSim func(p);
+            auto start = Clock::now();
+            const FuncRunResult golden = func.run();
+            best[i][Func].note(nsSince(start), golden.instCount);
+
+            SSProcessor ss(p);
+            start = Clock::now();
+            const SSRunResult ssRun = ss.run();
+            best[i][SS].note(nsSince(start), ssRun.retired);
+
+            SlipstreamProcessor cmp(p, cmpParams);
+            start = Clock::now();
+            const SlipstreamRunResult cmpRun = cmp.run();
+            best[i][CMP].note(nsSince(start), cmpRun.rRetired);
+
+            if (ssRun.output != golden.output ||
+                cmpRun.output != golden.output ||
+                ssRun.retired != golden.instCount ||
+                cmpRun.rRetired != golden.instCount) {
+                state.SkipWithError("a cycle model diverged from FuncSim");
+                return;
+            }
+        }
+    }
+    const auto nsPerInst = [&](Model m) {
+        double ns = 0, insts = 0;
+        for (const auto &perModel : best) {
+            ns += perModel[m].ns;
+            insts += double(perModel[m].insts);
+        }
+        return ns / insts;
+    };
+    state.counters["ns_at_func"] = nsPerInst(Func);
+    state.counters["ns_at_ss"] = nsPerInst(SS);
+    state.counters["ns_at_cmp"] = nsPerInst(CMP);
+}
+BENCHMARK(BM_CycleModel)->Unit(benchmark::kMillisecond);
 
 // Same-page accesses — the single-lookup memcpy fast path.
 void

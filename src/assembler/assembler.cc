@@ -1,6 +1,8 @@
 #include "assembler/assembler.hh"
 
+#include <iterator>
 #include <map>
+#include <optional>
 #include <unordered_map>
 
 #include "assembler/lexer.hh"
@@ -152,11 +154,32 @@ class Resolver
     const std::map<std::string, Addr> &symbols;
 };
 
-/** Branch opcode family lookup for the b* mnemonics. */
-const std::unordered_map<std::string, Opcode> branchOps = {
-    {"beq", Opcode::BEQ}, {"bne", Opcode::BNE}, {"blt", Opcode::BLT},
-    {"bge", Opcode::BGE}, {"bltu", Opcode::BLTU}, {"bgeu", Opcode::BGEU},
-};
+/** The real opcode a mnemonic names (from opTable); none for pseudos. */
+std::optional<Opcode>
+realOp(const std::string &mnemonic)
+{
+    static const std::unordered_map<std::string, Opcode> ops = [] {
+        std::unordered_map<std::string, Opcode> map;
+        for (size_t i = 0; i < std::size(opTable); ++i)
+            map.emplace(opTable[i].mnemonic, static_cast<Opcode>(i));
+        return map;
+    }();
+    const auto it = ops.find(mnemonic);
+    if (it == ops.end())
+        return std::nullopt;
+    return it->second;
+}
+
+/** True for a load or store mnemonic. */
+bool
+isMemOp(const std::string &mnemonic)
+{
+    const std::optional<Opcode> op = realOp(mnemonic);
+    if (!op)
+        return false;
+    const OpClass cls = opInfo(*op).opClass;
+    return cls == OpClass::Load || cls == OpClass::Store;
+}
 
 /** Swapped-operand pseudo branches: bgt a,b == blt b,a etc. */
 const std::unordered_map<std::string, Opcode> swappedBranchOps = {
@@ -174,33 +197,6 @@ const std::unordered_map<std::string, ZeroBranch> zeroBranchOps = {
     {"beqz", {Opcode::BEQ, false}}, {"bnez", {Opcode::BNE, false}},
     {"bltz", {Opcode::BLT, false}}, {"bgez", {Opcode::BGE, false}},
     {"blez", {Opcode::BGE, true}},  {"bgtz", {Opcode::BLT, true}},
-};
-
-const std::unordered_map<std::string, Opcode> rTypeOps = {
-    {"add", Opcode::ADD}, {"sub", Opcode::SUB}, {"mul", Opcode::MUL},
-    {"mulh", Opcode::MULH}, {"div", Opcode::DIV}, {"divu", Opcode::DIVU},
-    {"rem", Opcode::REM}, {"remu", Opcode::REMU}, {"and", Opcode::AND},
-    {"or", Opcode::OR}, {"xor", Opcode::XOR}, {"sll", Opcode::SLL},
-    {"srl", Opcode::SRL}, {"sra", Opcode::SRA}, {"slt", Opcode::SLT},
-    {"sltu", Opcode::SLTU},
-};
-
-const std::unordered_map<std::string, Opcode> iTypeOps = {
-    {"addi", Opcode::ADDI}, {"andi", Opcode::ANDI}, {"ori", Opcode::ORI},
-    {"xori", Opcode::XORI}, {"slli", Opcode::SLLI},
-    {"srli", Opcode::SRLI}, {"srai", Opcode::SRAI},
-    {"slti", Opcode::SLTI}, {"sltiu", Opcode::SLTIU},
-};
-
-const std::unordered_map<std::string, Opcode> loadOps = {
-    {"lb", Opcode::LB}, {"lbu", Opcode::LBU}, {"lh", Opcode::LH},
-    {"lhu", Opcode::LHU}, {"lw", Opcode::LW}, {"lwu", Opcode::LWU},
-    {"ld", Opcode::LD},
-};
-
-const std::unordered_map<std::string, Opcode> storeOps = {
-    {"sb", Opcode::SB}, {"sh", Opcode::SH}, {"sw", Opcode::SW},
-    {"sd", Opcode::SD},
 };
 
 /**
@@ -224,8 +220,8 @@ expansionLength(const Stmt &stmt)
         return 2;
     if (m == "push" || m == "pop")
         return 2;
-    if ((loadOps.count(m) || storeOps.count(m)) && stmt.operands.size() >=
-            2 && stmt.operands[1].kind == Operand::Kind::Imm) {
+    if (isMemOp(m) && stmt.operands.size() >= 2 &&
+        stmt.operands[1].kind == Operand::Kind::Imm) {
         return 3; // la k9, sym ; op reg, 0(k9)
     }
     return 1;
@@ -279,55 +275,55 @@ expand(const Stmt &stmt, const Resolver &resolver, Addr textBase,
         return v;
     };
 
-    // --- real R-type ---
-    if (auto it = rTypeOps.find(m); it != rTypeOps.end()) {
-        ops.expectCount(3);
-        out.push_back({it->second, ops.reg(0), ops.reg(1), ops.reg(2), 0});
-        return;
-    }
-    // --- real I-type ALU ---
-    if (auto it = iTypeOps.find(m); it != iTypeOps.end()) {
-        ops.expectCount(3);
-        out.push_back(
-            {it->second, ops.reg(0), ops.reg(1), 0, imm12(ops.imm(2))});
-        return;
-    }
-    // --- loads ---
-    if (auto it = loadOps.find(m); it != loadOps.end()) {
-        ops.expectCount(2);
-        if (stmt.operands[1].kind == Operand::Kind::Mem) {
-            const Operand &memOp = ops.mem(1);
-            out.push_back({it->second, ops.reg(0), memOp.reg, 0,
-                           imm12(memOp.expr)});
-        } else {
-            // lX rd, symbol  ->  la k9, symbol ; lX rd, 0(k9)
-            emitLiFixed2(out, kScratch,
-                         resolver.value(ops.imm(1), stmt));
-            out.push_back({it->second, ops.reg(0), kScratch, 0, 0});
+    // --- real ALU, load, store and branch instructions ---
+    if (const std::optional<Opcode> op = realOp(m)) {
+        const OpInfo &info = opInfo(*op);
+        if (info.format == Format::R) {
+            ops.expectCount(3);
+            out.push_back({*op, ops.reg(0), ops.reg(1), ops.reg(2), 0});
+            return;
         }
-        return;
-    }
-    // --- stores ---
-    if (auto it = storeOps.find(m); it != storeOps.end()) {
-        ops.expectCount(2);
-        if (stmt.operands[1].kind == Operand::Kind::Mem) {
-            const Operand &memOp = ops.mem(1);
-            out.push_back({it->second, 0, memOp.reg, ops.reg(0),
-                           imm12(memOp.expr)});
-        } else {
-            emitLiFixed2(out, kScratch,
-                         resolver.value(ops.imm(1), stmt));
-            out.push_back({it->second, 0, kScratch, ops.reg(0), 0});
+        if (info.format == Format::I && info.opClass == OpClass::IntAlu) {
+            ops.expectCount(3);
+            out.push_back(
+                {*op, ops.reg(0), ops.reg(1), 0, imm12(ops.imm(2))});
+            return;
         }
-        return;
-    }
-    // --- branches ---
-    if (auto it = branchOps.find(m); it != branchOps.end()) {
-        ops.expectCount(3);
-        const RegIndex a = ops.reg(0), b = ops.reg(1);
-        out.push_back(
-            {it->second, 0, a, b, branchOffset(ops.imm(2), 12)});
-        return;
+        if (info.opClass == OpClass::Load) {
+            ops.expectCount(2);
+            if (stmt.operands[1].kind == Operand::Kind::Mem) {
+                const Operand &memOp = ops.mem(1);
+                out.push_back({*op, ops.reg(0), memOp.reg, 0,
+                               imm12(memOp.expr)});
+            } else {
+                // lX rd, symbol  ->  la k9, symbol ; lX rd, 0(k9)
+                emitLiFixed2(out, kScratch,
+                             resolver.value(ops.imm(1), stmt));
+                out.push_back({*op, ops.reg(0), kScratch, 0, 0});
+            }
+            return;
+        }
+        if (info.opClass == OpClass::Store) {
+            ops.expectCount(2);
+            if (stmt.operands[1].kind == Operand::Kind::Mem) {
+                const Operand &memOp = ops.mem(1);
+                out.push_back({*op, 0, memOp.reg, ops.reg(0),
+                               imm12(memOp.expr)});
+            } else {
+                emitLiFixed2(out, kScratch,
+                             resolver.value(ops.imm(1), stmt));
+                out.push_back({*op, 0, kScratch, ops.reg(0), 0});
+            }
+            return;
+        }
+        if (info.opClass == OpClass::Branch) {
+            ops.expectCount(3);
+            const RegIndex a = ops.reg(0), b = ops.reg(1);
+            out.push_back({*op, 0, a, b, branchOffset(ops.imm(2), 12)});
+            return;
+        }
+        // jal, jalr, lui and the system ops take their own operand
+        // forms below.
     }
     if (auto it = swappedBranchOps.find(m); it != swappedBranchOps.end()) {
         ops.expectCount(3);

@@ -42,7 +42,7 @@ bool envFlag(const char *name, bool fallback);
  * listing every valid choice. A typo'd mode would silently run the
  * wrong experiment for hours — failing fast is the only safe
  * fallback ($SLIPSTREAM_DETECT, $SLIPSTREAM_ISOLATION and
- * $SLIPSTREAM_DISPATCH all parse through this).
+ * $SLIPSTREAM_ASTREAM_POLICY all parse through this).
  */
 size_t envChoice(const char *name,
                  std::initializer_list<const char *> choices,

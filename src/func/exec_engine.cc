@@ -1,13 +1,11 @@
 #include "func/exec_engine.hh"
 
 #include <bit>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include "assembler/program.hh"
-#include "common/env.hh"
 #include "common/logging.hh"
 #include "func/arch_state.hh"
 #include "func/exec_semantics.hh"
@@ -56,7 +54,6 @@ dispatchName(DispatchKind kind)
     switch (kind) {
       case DispatchKind::Threaded: return "threaded";
       case DispatchKind::Switch: return "switch";
-      case DispatchKind::Legacy: return "legacy";
     }
     return "?";
 }
@@ -70,32 +67,8 @@ threadedDispatchCompiled()
 DispatchKind
 defaultDispatch()
 {
-    const DispatchKind fallback = threadedDispatchCompiled()
-                                      ? DispatchKind::Threaded
+    return threadedDispatchCompiled() ? DispatchKind::Threaded
                                       : DispatchKind::Switch;
-    // Strict mode-knob contract (common/env::envChoice): a typo here
-    // would silently benchmark the wrong engine, so unknown values
-    // throw. "threaded" on a build without the computed-goto engine
-    // is a *valid* request that cannot be honored — that stays a
-    // warning plus the switch engine, not an error.
-    switch (envChoice("SLIPSTREAM_DISPATCH",
-                      {"threaded", "switch", "legacy"},
-                      size_t(fallback))) {
-      case 0:
-        if (!threadedDispatchCompiled()) {
-            SLIP_WARN("SLIPSTREAM_DISPATCH=threaded but the "
-                      "computed-goto engine is not compiled in; "
-                      "using switch");
-            return DispatchKind::Switch;
-        }
-        return DispatchKind::Threaded;
-      case 1:
-        return DispatchKind::Switch;
-      case 2:
-        return DispatchKind::Legacy;
-      default:
-        return fallback;
-    }
 }
 
 EngineExit

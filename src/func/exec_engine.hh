@@ -2,10 +2,9 @@
  * @file
  * Predecoded block execution engine for the functional core.
  *
- * The legacy path re-walks the Opcode switch (plus opInfo table
- * lookups and destination resolution) for every retired instruction.
- * This engine instead runs straight over a Program's predecoded
- * MicroOp array with either
+ * Instead of stepping executeMicro() once per instruction, this engine
+ * runs straight over a Program's predecoded MicroOp array, keeping the
+ * register file in a local array, with either
  *
  *  - computed-goto threaded dispatch (`&&label` table; GCC/Clang,
  *    selected at configure time), or
@@ -13,20 +12,18 @@
  *
  * and keeps a one-entry data-page pointer cache so the common-case
  * load/store is a bounds check plus memcpy instead of a hash lookup
- * per byte. Architectural results are bit-identical to the legacy
- * executor across all three dispatch kinds — the differential tests
- * in tests/test_exec_engine.cc assert it, and the fuzz corpus replays
- * byte-identically whichever engine runs the reference leg.
+ * per byte. Both engines expand their handlers from the op list and
+ * semantics helpers executeMicro() uses (func/exec_semantics.hh), and
+ * the tests check both, opcode by opcode and on whole programs,
+ * against the independent reference executor in tests/oracle/.
  *
  * The engine runs until HALT, the instruction budget, or control
  * leaving the text image (a wild JALR / fall-through); the caller
- * finishes the wild-pc case through the legacy fetch path so the
+ * finishes the wild-pc case through its per-instruction step so the
  * park-on-synthetic-HALT semantics stay in one place.
  *
- * Runtime selection: $SLIPSTREAM_DISPATCH = threaded | switch |
- * legacy overrides the default (threaded when compiled in, else
- * switch) — the knob the perf methodology in EXPERIMENTS.md uses for
- * apples-to-apples regression numbers.
+ * FuncSim runs the threaded engine where it is compiled in, else the
+ * switch engine; FuncSim::setDispatch pins one (tests, micro benches).
  */
 
 #ifndef SLIPSTREAM_FUNC_EXEC_ENGINE_HH
@@ -50,7 +47,6 @@ enum class DispatchKind : uint8_t
 {
     Threaded, // computed-goto over predecoded micro-ops
     Switch,   // dense switch over predecoded micro-ops (portable)
-    Legacy,   // per-instruction decode switch (the pre-engine path)
 };
 
 /** Lower-case name for logs and bench labels. */
@@ -59,14 +55,7 @@ const char *dispatchName(DispatchKind kind);
 /** True when the computed-goto engine was compiled in. */
 bool threadedDispatchCompiled();
 
-/**
- * Dispatch kind from $SLIPSTREAM_DISPATCH (threaded|switch|legacy).
- * Unset means the fastest compiled-in engine; asking for `threaded`
- * in a build without it warns and falls back to `switch`; an
- * unrecognized value throws FatalError listing the valid choices
- * (the strict mode-knob contract, common/env::envChoice). Re-read
- * per call.
- */
+/** The threaded engine where it is compiled in, else the switch one. */
 DispatchKind defaultDispatch();
 
 /**
@@ -88,9 +77,8 @@ struct EngineExit
 /**
  * Run `program` from state.pc() until HALT, `maxInsts` retires, or
  * control leaves the text image. Updates registers, pc and `mem` in
- * place; PUTC/PUTN append to `*output` when non-null. `kind` must be
- * Threaded or Switch (Threaded silently degrades to Switch when not
- * compiled in); the Legacy loop lives in FuncSim.
+ * place; PUTC/PUTN append to `*output` when non-null. Threaded
+ * silently degrades to Switch when not compiled in.
  */
 EngineExit runPredecoded(ArchState &state, Memory &mem,
                          const Program &program, std::string *output,

@@ -1,9 +1,13 @@
 /**
  * @file
- * The SSIR instruction executor — the single source of truth for
- * instruction semantics. The functional simulator, the superscalar
- * timing cores, and both slipstream streams all execute through this
- * function, so architectural behaviour cannot diverge between models.
+ * The SSIR instruction executor. executeMicro() runs one predecoded
+ * instruction and reports everything it did; the superscalar timing
+ * cores, both slipstream streams and the detection backends step
+ * through it, and the functional simulator's bulk engines
+ * (func/exec_engine.hh) expand the same op list and semantics helpers
+ * (func/exec_semantics.hh), so architectural behaviour cannot diverge
+ * between models. The tests check it against an independently written
+ * reference executor (tests/oracle/).
  */
 
 #ifndef SLIPSTREAM_FUNC_EXECUTOR_HH
@@ -41,24 +45,12 @@ struct ExecResult
 };
 
 /**
- * Execute one instruction against `state`, updating registers, PC and
- * memory. PUTC/PUTN output is appended to `*output` when non-null.
+ * Execute one predecoded micro-op against `state`, updating registers,
+ * PC and memory. PUTC/PUTN output is appended to `*output` when
+ * non-null. `state.pc()` must equal the address the micro-op was
+ * predecoded at (its branch target is absolute).
  *
- * @param state   the context to execute in (its pc() must point at inst)
- * @param inst    the decoded instruction
- * @param output  program output sink, may be nullptr
- * @return        full record of what the instruction did
- */
-ExecResult execute(ArchState &state, const StaticInst &inst,
-                   std::string *output);
-
-/**
- * Execute one predecoded micro-op. Bit-identical to execute() on the
- * corresponding StaticInst — the differential tests assert it — but
- * skips the per-execution decode work (opInfo table walks, destination
- * resolution, branch-target scaling). `state.pc()` must equal the
- * address the micro-op was predecoded at (its branch target is
- * absolute).
+ * @return full record of what the instruction did
  */
 ExecResult executeMicro(ArchState &state, const MicroOp &u,
                         std::string *output);

@@ -20,25 +20,14 @@ FuncSim::FuncSim(const Program &program)
 }
 
 ExecResult
-FuncSim::execOne()
+FuncSim::step()
 {
-    // Ternary direct-init: the result materializes in place, no
-    // default-construct-then-assign of the (large) ExecResult.
     const ExecResult res =
-        dispatch_ == DispatchKind::Legacy
-            ? execute(state_, program.fetch(state_.pc()), &output_)
-            : executeMicro(state_, program.microAt(state_.pc()),
-                           &output_);
+        executeMicro(state_, program.microAt(state_.pc()), &output_);
     ++retired;
     if (res.halted)
         halted_ = true;
     return res;
-}
-
-ExecResult
-FuncSim::step()
-{
-    return execOne();
 }
 
 FuncRunResult
@@ -56,6 +45,8 @@ FuncRunResult
 FuncSim::runEngine(uint64_t maxInsts,
                    const StoreObserver *storeObserver)
 {
+    if (maxInsts == 0)
+        maxInsts = kDefaultMaxInsts;
     while (!halted_ && retired < maxInsts) {
         const EngineExit e =
             runPredecoded(state_, mem, program, &output_,
@@ -67,10 +58,9 @@ FuncSim::runEngine(uint64_t maxInsts,
         }
         if (!e.leftText || retired >= maxInsts)
             break;
-        // Control left the text image: retire the synthetic HALT the
-        // legacy fetch path produces for a wild pc (parking there),
-        // through the same per-instruction path legacy mode uses.
-        execOne();
+        // Control left the text image: retire the synthetic HALT
+        // Program::microAt returns for a wild pc (parking there).
+        step();
     }
     return finishResult();
 }
@@ -78,16 +68,7 @@ FuncSim::runEngine(uint64_t maxInsts,
 FuncRunResult
 FuncSim::run(uint64_t maxInsts)
 {
-    if (maxInsts == 0)
-        maxInsts = kDefaultMaxInsts;
-
-    if (dispatch_ != DispatchKind::Legacy)
-        return runEngine(maxInsts, nullptr);
-
-    // Legacy dispatch: the pre-engine per-instruction loop.
-    while (!halted_ && retired < maxInsts)
-        execOne();
-    return finishResult();
+    return runEngine(maxInsts, nullptr);
 }
 
 FuncRunResult
@@ -105,7 +86,7 @@ FuncSim::runWithObserver(
     while (!halted_ && retired < maxInsts) {
         const Addr pc = state_.pc();
         const StaticInst &inst = program.fetch(pc);
-        const ExecResult res = execOne();
+        const ExecResult res = step();
         observer(pc, inst, res);
     }
     return finishResult();
@@ -115,20 +96,7 @@ FuncRunResult
 FuncSim::runWithStoreObserver(const StoreObserver &observer,
                               uint64_t maxInsts)
 {
-    if (maxInsts == 0)
-        maxInsts = kDefaultMaxInsts;
-
-    if (dispatch_ != DispatchKind::Legacy)
-        return runEngine(maxInsts, &observer);
-
-    while (!halted_ && retired < maxInsts) {
-        const Addr pc = state_.pc();
-        const StaticInst &inst = program.fetch(pc);
-        const ExecResult res = execOne();
-        if (inst.isStore())
-            observer(pc, res.memAddr, res.memBytes, res.storeValue);
-    }
-    return finishResult();
+    return runEngine(maxInsts, &observer);
 }
 
 } // namespace slip

@@ -70,7 +70,7 @@ class FuncSim
     FuncRunResult runWithStoreObserver(const StoreObserver &observer,
                                        uint64_t maxInsts = 0);
 
-    /** Override the dispatch engine (default: $SLIPSTREAM_DISPATCH). */
+    /** Pin the bulk engine (default: defaultDispatch()). */
     void setDispatch(DispatchKind kind) { dispatch_ = kind; }
     DispatchKind dispatch() const { return dispatch_; }
 
@@ -81,9 +81,6 @@ class FuncSim
     bool halted() const { return halted_; }
 
   private:
-    /** One instruction through the per-instruction path. */
-    ExecResult execOne();
-
     /** Block-engine driver shared by run()/runWithStoreObserver(). */
     FuncRunResult runEngine(uint64_t maxInsts,
                             const StoreObserver *storeObserver);

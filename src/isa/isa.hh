@@ -32,30 +32,87 @@
 namespace slip
 {
 
+/**
+ * The SSIR op list: one row per opcode, in binary opcode order.
+ *
+ *   X(NAME, mnemonic, Format, OpClass, memBytes, loadSigned)
+ *
+ * memBytes is 1/2/4/8 for loads and stores, else 0; loadSigned
+ * sign-extends the loaded value. The Opcode enum, opTable, the
+ * assembler's mnemonic lookup and the executors' generated cases all
+ * expand this list, so an opcode is defined here and nowhere else.
+ * Format decides the operands: R-type ALU ops take rs2 as their
+ * second operand, I-type ALU ops and LUI the immediate.
+ */
+#define SLIP_SSIR_OPCODES(X)                                           \
+    /* R-type ALU */                                                   \
+    X(ADD,   "add",   R,   IntAlu,  0, false)                          \
+    X(SUB,   "sub",   R,   IntAlu,  0, false)                          \
+    X(MUL,   "mul",   R,   IntMult, 0, false)                          \
+    X(MULH,  "mulh",  R,   IntMult, 0, false)                          \
+    X(DIV,   "div",   R,   IntDiv,  0, false)                          \
+    X(DIVU,  "divu",  R,   IntDiv,  0, false)                          \
+    X(REM,   "rem",   R,   IntDiv,  0, false)                          \
+    X(REMU,  "remu",  R,   IntDiv,  0, false)                          \
+    X(AND,   "and",   R,   IntAlu,  0, false)                          \
+    X(OR,    "or",    R,   IntAlu,  0, false)                          \
+    X(XOR,   "xor",   R,   IntAlu,  0, false)                          \
+    X(SLL,   "sll",   R,   IntAlu,  0, false)                          \
+    X(SRL,   "srl",   R,   IntAlu,  0, false)                          \
+    X(SRA,   "sra",   R,   IntAlu,  0, false)                          \
+    X(SLT,   "slt",   R,   IntAlu,  0, false)                          \
+    X(SLTU,  "sltu",  R,   IntAlu,  0, false)                          \
+    /* I-type ALU */                                                   \
+    X(ADDI,  "addi",  I,   IntAlu,  0, false)                          \
+    X(ANDI,  "andi",  I,   IntAlu,  0, false)                          \
+    X(ORI,   "ori",   I,   IntAlu,  0, false)                          \
+    X(XORI,  "xori",  I,   IntAlu,  0, false)                          \
+    X(SLLI,  "slli",  I,   IntAlu,  0, false)                          \
+    X(SRLI,  "srli",  I,   IntAlu,  0, false)                          \
+    X(SRAI,  "srai",  I,   IntAlu,  0, false)                          \
+    X(SLTI,  "slti",  I,   IntAlu,  0, false)                          \
+    X(SLTIU, "sltiu", I,   IntAlu,  0, false)                          \
+    X(LUI,   "lui",   J,   IntAlu,  0, false)                          \
+    /* Loads (I-type) */                                               \
+    X(LB,    "lb",    I,   Load,    1, true)                           \
+    X(LBU,   "lbu",   I,   Load,    1, false)                          \
+    X(LH,    "lh",    I,   Load,    2, true)                           \
+    X(LHU,   "lhu",   I,   Load,    2, false)                          \
+    X(LW,    "lw",    I,   Load,    4, true)                           \
+    X(LWU,   "lwu",   I,   Load,    4, false)                          \
+    X(LD,    "ld",    I,   Load,    8, false)                          \
+    /* Stores (S-type) */                                              \
+    X(SB,    "sb",    S,   Store,   1, false)                          \
+    X(SH,    "sh",    S,   Store,   2, false)                          \
+    X(SW,    "sw",    S,   Store,   4, false)                          \
+    X(SD,    "sd",    S,   Store,   8, false)                          \
+    /* Branches (B-type) */                                            \
+    X(BEQ,   "beq",   B,   Branch,  0, false)                          \
+    X(BNE,   "bne",   B,   Branch,  0, false)                          \
+    X(BLT,   "blt",   B,   Branch,  0, false)                          \
+    X(BGE,   "bge",   B,   Branch,  0, false)                          \
+    X(BLTU,  "bltu",  B,   Branch,  0, false)                          \
+    X(BGEU,  "bgeu",  B,   Branch,  0, false)                          \
+    /* Jumps */                                                        \
+    /* J-type: rd = pc + 4, pc += imm * 4 */                           \
+    X(JAL,   "jal",   J,   Jump,    0, false)                          \
+    /* I-type: rd = pc + 4, pc = rs1 + imm */                          \
+    X(JALR,  "jalr",  I,   Jump,    0, false)                          \
+    /* System (I-type operand usage) */                                \
+    /* emit low byte of rs1 to the program output stream */            \
+    X(PUTC,  "putc",  Sys, Syscall, 0, false)                          \
+    /* emit signed decimal of rs1 plus newline */                      \
+    X(PUTN,  "putn",  Sys, Syscall, 0, false)                          \
+    /* terminate the program */                                        \
+    X(HALT,  "halt",  Sys, Syscall, 0, false)                          \
+    X(NOP,   "nop",   Sys, IntAlu,  0, false)
+
 /** Every SSIR operation. Order is the binary opcode value. */
 enum class Opcode : uint8_t
 {
-    // R-type ALU
-    ADD, SUB, MUL, MULH, DIV, DIVU, REM, REMU,
-    AND, OR, XOR, SLL, SRL, SRA, SLT, SLTU,
-    // I-type ALU
-    ADDI, ANDI, ORI, XORI, SLLI, SRLI, SRAI, SLTI, SLTIU,
-    LUI,
-    // Loads (I-type)
-    LB, LBU, LH, LHU, LW, LWU, LD,
-    // Stores (S-type)
-    SB, SH, SW, SD,
-    // Branches (B-type)
-    BEQ, BNE, BLT, BGE, BLTU, BGEU,
-    // Jumps
-    JAL,   // J-type: rd = pc + 4, pc += imm * 4
-    JALR,  // I-type: rd = pc + 4, pc = rs1 + imm
-    // System (I-type operand usage)
-    PUTC,  // emit low byte of rs1 to the program output stream
-    PUTN,  // emit signed decimal of rs1 plus newline
-    HALT,  // terminate the program
-    NOP,
-
+#define SLIP_OPCODE_ENUM(NAME, ...) NAME,
+    SLIP_SSIR_OPCODES(SLIP_OPCODE_ENUM)
+#undef SLIP_OPCODE_ENUM
     NumOpcodes
 };
 
@@ -90,61 +147,11 @@ struct OpInfo
 
 /** Static properties of every opcode, indexed by its value. */
 inline constexpr OpInfo opTable[] = {
-    // mnemonic  format      opClass           memBytes  loadSigned
-    {"add",   Format::R,   OpClass::IntAlu,   0, false},
-    {"sub",   Format::R,   OpClass::IntAlu,   0, false},
-    {"mul",   Format::R,   OpClass::IntMult,  0, false},
-    {"mulh",  Format::R,   OpClass::IntMult,  0, false},
-    {"div",   Format::R,   OpClass::IntDiv,   0, false},
-    {"divu",  Format::R,   OpClass::IntDiv,   0, false},
-    {"rem",   Format::R,   OpClass::IntDiv,   0, false},
-    {"remu",  Format::R,   OpClass::IntDiv,   0, false},
-    {"and",   Format::R,   OpClass::IntAlu,   0, false},
-    {"or",    Format::R,   OpClass::IntAlu,   0, false},
-    {"xor",   Format::R,   OpClass::IntAlu,   0, false},
-    {"sll",   Format::R,   OpClass::IntAlu,   0, false},
-    {"srl",   Format::R,   OpClass::IntAlu,   0, false},
-    {"sra",   Format::R,   OpClass::IntAlu,   0, false},
-    {"slt",   Format::R,   OpClass::IntAlu,   0, false},
-    {"sltu",  Format::R,   OpClass::IntAlu,   0, false},
-    {"addi",  Format::I,   OpClass::IntAlu,   0, false},
-    {"andi",  Format::I,   OpClass::IntAlu,   0, false},
-    {"ori",   Format::I,   OpClass::IntAlu,   0, false},
-    {"xori",  Format::I,   OpClass::IntAlu,   0, false},
-    {"slli",  Format::I,   OpClass::IntAlu,   0, false},
-    {"srli",  Format::I,   OpClass::IntAlu,   0, false},
-    {"srai",  Format::I,   OpClass::IntAlu,   0, false},
-    {"slti",  Format::I,   OpClass::IntAlu,   0, false},
-    {"sltiu", Format::I,   OpClass::IntAlu,   0, false},
-    {"lui",   Format::J,   OpClass::IntAlu,   0, false},
-    {"lb",    Format::I,   OpClass::Load,     1, true},
-    {"lbu",   Format::I,   OpClass::Load,     1, false},
-    {"lh",    Format::I,   OpClass::Load,     2, true},
-    {"lhu",   Format::I,   OpClass::Load,     2, false},
-    {"lw",    Format::I,   OpClass::Load,     4, true},
-    {"lwu",   Format::I,   OpClass::Load,     4, false},
-    {"ld",    Format::I,   OpClass::Load,     8, false},
-    {"sb",    Format::S,   OpClass::Store,    1, false},
-    {"sh",    Format::S,   OpClass::Store,    2, false},
-    {"sw",    Format::S,   OpClass::Store,    4, false},
-    {"sd",    Format::S,   OpClass::Store,    8, false},
-    {"beq",   Format::B,   OpClass::Branch,   0, false},
-    {"bne",   Format::B,   OpClass::Branch,   0, false},
-    {"blt",   Format::B,   OpClass::Branch,   0, false},
-    {"bge",   Format::B,   OpClass::Branch,   0, false},
-    {"bltu",  Format::B,   OpClass::Branch,   0, false},
-    {"bgeu",  Format::B,   OpClass::Branch,   0, false},
-    {"jal",   Format::J,   OpClass::Jump,     0, false},
-    {"jalr",  Format::I,   OpClass::Jump,     0, false},
-    {"putc",  Format::Sys, OpClass::Syscall,  0, false},
-    {"putn",  Format::Sys, OpClass::Syscall,  0, false},
-    {"halt",  Format::Sys, OpClass::Syscall,  0, false},
-    {"nop",   Format::Sys, OpClass::IntAlu,   0, false},
+#define SLIP_OPCODE_INFO(NAME, MNEMONIC, FORMAT, CLASS, BYTES, SIGNED) \
+    {MNEMONIC, Format::FORMAT, OpClass::CLASS, BYTES, SIGNED},
+    SLIP_SSIR_OPCODES(SLIP_OPCODE_INFO)
+#undef SLIP_OPCODE_INFO
 };
-
-static_assert(sizeof(opTable) / sizeof(opTable[0]) ==
-                  static_cast<size_t>(Opcode::NumOpcodes),
-              "opTable out of sync with Opcode enum");
 
 /** Static properties table lookup. */
 inline const OpInfo &
@@ -205,10 +212,6 @@ struct StaticInst
           case Format::R:
           case Format::I:
           case Format::J:
-            if (op == Opcode::PUTC || op == Opcode::PUTN ||
-                op == Opcode::HALT || op == Opcode::NOP) {
-                return kNoReg;
-            }
             return rd == kZeroReg ? kNoReg : rd;
           default:
             return kNoReg;
@@ -231,8 +234,6 @@ struct StaticInst
             srcs[1] = rs2;
             break;
           case Format::I:
-            if (op == Opcode::LUI)
-                break;
             srcs[0] = rs1;
             break;
           case Format::S:

@@ -26,19 +26,12 @@ predecode(const StaticInst &inst, Addr pc)
         // Shift amounts are masked to 6 bits at execution; pre-mask.
         u.imm = static_cast<int64_t>(static_cast<Word>(inst.imm) & 63);
         break;
-      case Opcode::BEQ:
-      case Opcode::BNE:
-      case Opcode::BLT:
-      case Opcode::BGE:
-      case Opcode::BLTU:
-      case Opcode::BGEU:
-      case Opcode::JAL:
-        // Branch offsets are in instruction words relative to pc.
-        u.target = pc + static_cast<int64_t>(inst.imm) * kInstBytes;
-        break;
       default:
         break;
     }
+    // Branch and JAL offsets are in instruction words relative to pc.
+    if (inst.isCondBranch() || inst.op == Opcode::JAL)
+        u.target = pc + static_cast<int64_t>(inst.imm) * kInstBytes;
     return u;
 }
 

@@ -12,7 +12,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -21,7 +20,10 @@
 
 #include "assembler/assembler.hh"
 #include "common/logging.hh"
+#include "func/exec_engine.hh"
+#include "func/func_sim.hh"
 #include "fuzz/oracle.hh"
+#include "oracle/ssir_oracle.hh"
 
 namespace slip
 {
@@ -88,28 +90,34 @@ TEST(Corpus, ReplayIsDeterministic)
 
 TEST(Corpus, ReplayIsEngineIndependent)
 {
-    // The oracle verdict — including its byte-exact report — must not
-    // depend on which dispatch engine runs the functional reference
-    // leg. $SLIPSTREAM_DISPATCH is re-read per run, so flipping it
-    // between evaluations exercises each engine end to end.
-    setLogQuiet(true);
+    // The oracle's reference leg is a functional run, its only input
+    // that depends on the dispatch engine. Each engine must finish
+    // every corpus program exactly as the hand-written reference
+    // executor does: output, retired count, pc, registers and memory.
     const std::vector<std::string> files = corpusFiles();
     ASSERT_FALSE(files.empty());
+    const uint64_t maxInsts = fuzz::OracleOptions{}.maxInsts;
     for (const std::string &path : files) {
         SCOPED_TRACE(path);
         const Program program = assemble(slurp(path));
 
-        setenv("SLIPSTREAM_DISPATCH", "legacy", 1);
-        const fuzz::OracleVerdict ref = fuzz::runOracle(program);
-        for (const char *engine : {"switch", "threaded"}) {
-            setenv("SLIPSTREAM_DISPATCH", engine, 1);
-            const fuzz::OracleVerdict got = fuzz::runOracle(program);
-            EXPECT_EQ(got.diverged, ref.diverged) << engine;
-            EXPECT_EQ(got.report, ref.report) << engine;
+        OracleSim ref(program);
+        const FuncRunResult want = ref.run(maxInsts);
+        EXPECT_TRUE(want.halted);
+        for (DispatchKind kind : {DispatchKind::Switch,
+                                  DispatchKind::Threaded}) {
+            SCOPED_TRACE(dispatchName(kind));
+            FuncSim sim(program);
+            sim.setDispatch(kind);
+            const FuncRunResult got = sim.run(maxInsts);
+            EXPECT_EQ(got.output, want.output);
+            EXPECT_EQ(got.instCount, want.instCount);
+            EXPECT_EQ(got.halted, want.halted);
+            EXPECT_EQ(got.finalPc, want.finalPc);
+            EXPECT_TRUE(sim.state().regsEqual(ref.state()));
+            EXPECT_TRUE(sim.memory().equals(ref.memory()));
         }
-        unsetenv("SLIPSTREAM_DISPATCH");
     }
-    setLogQuiet(false);
 }
 
 } // namespace

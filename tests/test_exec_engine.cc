@@ -1,39 +1,73 @@
 /**
- * Differential tests for the predecoded execution engine: the threaded
- * and switch engines must retire bit-identical architectural results —
- * ExecResult streams, registers, memory, program output, instruction
- * counts — to the legacy per-instruction switch executor, across every
+ * Differential tests for the functional core's executors: executeMicro
+ * and the threaded and switch bulk engines, all expanded from the op
+ * list, must retire bit-identical architectural results — ExecResult
+ * streams, registers, memory, program output, instruction counts — to
+ * the hand-written reference executor (tests/oracle), across every
  * opcode, randomized operands, assembled edge-case programs, and
  * fuzz-generated workloads.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <random>
 #include <vector>
 
 #include "assembler/assembler.hh"
-#include "common/logging.hh"
+#include "common/bitutils.hh"
 #include "func/exec_engine.hh"
 #include "func/func_sim.hh"
 #include "fuzz/generator.hh"
+#include "isa/encoding.hh"
 #include "isa/micro_op.hh"
 #include "isa/regnames.hh"
+#include "oracle/ssir_oracle.hh"
 
 namespace slip
 {
 namespace
 {
 
-// Every dispatch kind available in this build. Threaded quietly equals
-// Switch when the computed-goto engine is compiled out, so including
-// it unconditionally still exercises the right code paths.
+// Both bulk engines. Threaded quietly equals Switch when the
+// computed-goto engine is compiled out, so including it
+// unconditionally still exercises the right code paths.
 std::vector<DispatchKind>
 allKinds()
 {
-    return {DispatchKind::Legacy, DispatchKind::Switch,
-            DispatchKind::Threaded};
+    return {DispatchKind::Switch, DispatchKind::Threaded};
+}
+
+/** Everything a finished run leaves observable. */
+struct RunCapture
+{
+    FuncRunResult result;
+    std::vector<Word> regs;
+    Memory mem;
+};
+
+/** Run `sim` (FuncSim or OracleSim) and capture its final state. */
+template <class Sim>
+RunCapture
+capture(Sim &sim, uint64_t maxInsts)
+{
+    RunCapture c;
+    c.result = sim.run(maxInsts);
+    for (unsigned r = 0; r < kNumRegs; ++r)
+        c.regs.push_back(sim.state().readReg(static_cast<RegIndex>(r)));
+    c.mem = sim.memory().clone();
+    return c;
+}
+
+void
+expectSameCapture(const RunCapture &got, const RunCapture &ref,
+                  const std::string &what)
+{
+    EXPECT_EQ(got.result.output, ref.result.output) << what;
+    EXPECT_EQ(got.result.instCount, ref.result.instCount) << what;
+    EXPECT_EQ(got.result.halted, ref.result.halted) << what;
+    EXPECT_EQ(got.result.finalPc, ref.result.finalPc) << what;
+    EXPECT_EQ(got.regs, ref.regs) << what;
+    EXPECT_TRUE(got.mem.equals(ref.mem)) << what;
 }
 
 void
@@ -55,7 +89,7 @@ expectSameResult(const ExecResult &a, const ExecResult &b,
     EXPECT_EQ(a.halted, b.halted) << what;
 }
 
-// ---- per-opcode ExecResult parity: execute() vs executeMicro() ----
+// ---- per-opcode parity: the oracle vs executeMicro and both engines ----
 
 class MicroParity : public ::testing::Test
 {
@@ -65,8 +99,11 @@ class MicroParity : public ::testing::Test
     {}
 
     /**
-     * Run `inst` at `pc` through both executors against identically
-     * prepared contexts and assert everything observable matches.
+     * Run `inst` at `pc` through the oracle and executeMicro against
+     * identically prepared contexts and assert everything observable
+     * matches. Then run it from the same registers and memory as the
+     * program `inst; halt` through FuncSim pinned to each bulk engine,
+     * and compare with the oracle running that program.
      */
     void
     check(const StaticInst &inst, Addr pc)
@@ -74,6 +111,11 @@ class MicroParity : public ::testing::Test
         stateA.setPc(pc);
         stateB.setPc(pc);
         stateB.copyRegsFrom(stateA);
+        std::vector<Word> regsBefore;
+        for (unsigned r = 0; r < kNumRegs; ++r)
+            regsBefore.push_back(
+                stateA.readReg(static_cast<RegIndex>(r)));
+        const Memory memBefore = memA.clone();
 
         const ExecResult ra = execute(stateA, inst, &outA);
         const MicroOp u = predecode(inst, pc);
@@ -88,6 +130,49 @@ class MicroParity : public ::testing::Test
         EXPECT_EQ(stateA.pc(), stateB.pc()) << what;
         EXPECT_TRUE(memA.equals(memB)) << what;
         EXPECT_EQ(outA, outB) << what;
+
+        checkAsProgram(inst, pc, regsBefore, memBefore, what);
+    }
+
+    /** Start `sim` at `pc` from the saved registers and memory. */
+    template <class Sim>
+    static void
+    prepare(Sim &sim, Addr pc, const std::vector<Word> &regs,
+            const Memory &mem)
+    {
+        for (unsigned r = 1; r < kNumRegs; ++r)
+            sim.state().writeReg(static_cast<RegIndex>(r), regs[r]);
+        sim.state().setPc(pc);
+        sim.memory() = mem.clone();
+    }
+
+    void
+    checkAsProgram(StaticInst inst, Addr pc,
+                   const std::vector<Word> &regs, const Memory &mem,
+                   const std::string &what)
+    {
+        // A program holds only encodable instructions: cut the
+        // immediate to its field. Two retires cover `inst` and then
+        // the HALT, the synthetic HALT of a wild target, or whatever
+        // an in-program target holds.
+        inst.imm = sext(static_cast<Word>(inst.imm),
+                        inst.format() == Format::J ? 18 : 12);
+        const StaticInst halt{Opcode::HALT, 0, 0, 0, 0};
+        const Program program({encode(inst), encode(halt)}, {}, pc, {},
+                              pc);
+        constexpr uint64_t kBudget = 2;
+
+        OracleSim oracle(program);
+        prepare(oracle, pc, regs, mem);
+        const RunCapture ref = capture(oracle, kBudget);
+        for (DispatchKind kind : allKinds()) {
+            FuncSim sim(program);
+            sim.setDispatch(kind);
+            prepare(sim, pc, regs, mem);
+            expectSameCapture(capture(sim, kBudget), ref,
+                              what + " as a program, " +
+                                  dispatchName(kind));
+        }
     }
 
     Memory memA, memB;
@@ -179,40 +264,18 @@ TEST_F(MicroParity, DivRemEdgeCases)
     }
 }
 
-// ---- whole-program parity across dispatch kinds ----
-
-/** Run a program under `kind` and capture everything observable. */
-struct RunCapture
-{
-    FuncRunResult result;
-    std::vector<Word> regs;
-    Memory mem;
-
-    RunCapture(const Program &p, DispatchKind kind, uint64_t maxInsts)
-    {
-        FuncSim sim(p);
-        sim.setDispatch(kind);
-        result = sim.run(maxInsts);
-        for (unsigned r = 0; r < kNumRegs; ++r)
-            regs.push_back(
-                sim.state().readReg(static_cast<RegIndex>(r)));
-        mem = sim.memory().clone();
-    }
-};
+// ---- whole-program parity: the oracle vs both engines ----
 
 void
 expectSameRun(const Program &p, uint64_t maxInsts = 0)
 {
-    const RunCapture ref(p, DispatchKind::Legacy, maxInsts);
+    OracleSim oracle(p);
+    const RunCapture ref = capture(oracle, maxInsts);
     for (DispatchKind kind : allKinds()) {
-        const RunCapture got(p, kind, maxInsts);
-        const std::string what = dispatchName(kind);
-        EXPECT_EQ(got.result.output, ref.result.output) << what;
-        EXPECT_EQ(got.result.instCount, ref.result.instCount) << what;
-        EXPECT_EQ(got.result.halted, ref.result.halted) << what;
-        EXPECT_EQ(got.result.finalPc, ref.result.finalPc) << what;
-        EXPECT_EQ(got.regs, ref.regs) << what;
-        EXPECT_TRUE(got.mem.equals(ref.mem)) << what;
+        FuncSim sim(p);
+        sim.setDispatch(kind);
+        expectSameCapture(capture(sim, maxInsts), ref,
+                          dispatchName(kind));
     }
 }
 
@@ -294,7 +357,8 @@ main:
     halt
 )");
     // maxInsts == 2 cuts the run exactly at the wild jump; 3 retires
-    // the synthetic HALT too. Both boundaries must agree with legacy.
+    // the synthetic HALT too. Both boundaries must agree with the
+    // oracle.
     expectSameRun(p, 2);
     expectSameRun(p, 3);
     expectSameRun(p);
@@ -360,12 +424,11 @@ loop:
     halt
 )");
 
-    // Reference stream: the legacy per-instruction observer, filtered
-    // to stores — exactly what the fuzz oracle used to do.
+    // Reference stream: the per-instruction observer, filtered to
+    // stores — exactly what the fuzz oracle used to do.
     std::vector<StoreRec> ref;
     {
         FuncSim sim(p);
-        sim.setDispatch(DispatchKind::Legacy);
         sim.runWithObserver([&](Addr pc, const StaticInst &si,
                                 const ExecResult &res) {
             if (si.isStore())
@@ -386,48 +449,6 @@ loop:
         EXPECT_TRUE(r.halted);
         EXPECT_EQ(got, ref) << dispatchName(kind);
     }
-}
-
-// ---- the $SLIPSTREAM_DISPATCH knob ----
-
-class DispatchEnv : public ::testing::Test
-{
-  protected:
-    void SetUp() override { setLogQuiet(true); }
-    void
-    TearDown() override
-    {
-        unsetenv("SLIPSTREAM_DISPATCH");
-        setLogQuiet(false);
-    }
-};
-
-TEST_F(DispatchEnv, SelectsNamedEngines)
-{
-    setenv("SLIPSTREAM_DISPATCH", "legacy", 1);
-    EXPECT_EQ(defaultDispatch(), DispatchKind::Legacy);
-    setenv("SLIPSTREAM_DISPATCH", "switch", 1);
-    EXPECT_EQ(defaultDispatch(), DispatchKind::Switch);
-    setenv("SLIPSTREAM_DISPATCH", "threaded", 1);
-    EXPECT_EQ(defaultDispatch(), threadedDispatchCompiled()
-                                     ? DispatchKind::Threaded
-                                     : DispatchKind::Switch);
-}
-
-TEST_F(DispatchEnv, UnsetUsesTheDefault)
-{
-    unsetenv("SLIPSTREAM_DISPATCH");
-    EXPECT_EQ(defaultDispatch(), threadedDispatchCompiled()
-                                     ? DispatchKind::Threaded
-                                     : DispatchKind::Switch);
-}
-
-TEST_F(DispatchEnv, GarbageThrows)
-{
-    // Strict mode-knob contract: a typo'd engine name would silently
-    // benchmark the wrong dispatch path, so it throws.
-    setenv("SLIPSTREAM_DISPATCH", "turbo", 1);
-    EXPECT_THROW(defaultDispatch(), FatalError);
 }
 
 } // namespace

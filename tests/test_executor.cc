@@ -4,6 +4,7 @@
 
 #include "func/arch_state.hh"
 #include "func/executor.hh"
+#include "isa/micro_op.hh"
 #include "mem/memory.hh"
 
 namespace slip
@@ -20,11 +21,13 @@ class ExecutorTest : public ::testing::Test
         state.setPc(0x1000);
     }
 
+    /** Predecode `inst` at the current pc and execute it. */
     ExecResult
-    exec(const StaticInst &inst)
+    exec(const StaticInst &inst, std::string *sink)
     {
-        return execute(state, inst, &output);
+        return executeMicro(state, predecode(inst, state.pc()), sink);
     }
+    ExecResult exec(const StaticInst &inst) { return exec(inst, &output); }
 
     Memory mem;
     DirectMemPort port;
@@ -222,7 +225,7 @@ TEST_F(ExecutorTest, OutputOps)
 TEST_F(ExecutorTest, OutputIgnoredWithNullSink)
 {
     state.writeReg(1, 'x');
-    EXPECT_NO_THROW(execute(state, {Opcode::PUTC, 0, 1, 0, 0}, nullptr));
+    EXPECT_NO_THROW(exec({Opcode::PUTC, 0, 1, 0, 0}, nullptr));
 }
 
 TEST_F(ExecutorTest, HaltParksPc)

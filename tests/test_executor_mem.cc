@@ -6,12 +6,20 @@
 #include "common/random.hh"
 #include "func/arch_state.hh"
 #include "func/executor.hh"
+#include "isa/micro_op.hh"
 #include "mem/memory.hh"
 
 namespace slip
 {
 namespace
 {
+
+/** Predecode `inst` at the current pc and execute it. */
+ExecResult
+exec(ArchState &state, const StaticInst &inst)
+{
+    return executeMicro(state, predecode(inst, state.pc()), nullptr);
+}
 
 /** (store op, load op, bytes, signed) consistency sweep. */
 struct MemOpCase
@@ -47,10 +55,10 @@ TEST_P(MemOpSweep, StoreLoadRoundTripsWithCorrectExtension)
         state.writeReg(1, addr);
         state.writeReg(2, value);
         state.setPc(0x1000);
-        execute(state, {c.store, 0, 1, 2, 0}, nullptr);
+        exec(state, {c.store, 0, 1, 2, 0});
 
         state.setPc(0x1000);
-        execute(state, {c.load, 3, 1, 0, 0}, nullptr);
+        exec(state, {c.load, 3, 1, 0, 0});
 
         Word expect = bits(value, 0, c.bytes * 8);
         if (c.loadSigned)
@@ -69,7 +77,7 @@ TEST_P(MemOpSweep, NarrowStoreLeavesNeighborsAlone)
     state.writeReg(1, 0x4004);
     state.writeReg(2, 0);
     state.setPc(0x1000);
-    execute(state, {c.store, 0, 1, 2, 0}, nullptr);
+    exec(state, {c.store, 0, 1, 2, 0});
     // Bytes before the store are untouched.
     EXPECT_EQ(mem.read(0x4000, 4), 0xffffffffu);
     // Bytes after the stored field are untouched.
@@ -113,7 +121,7 @@ TEST(ExecutorMemDifferential, RandomOpsMatchShadowMemory)
         state.writeReg(1, addr);
         state.writeReg(2, value);
         state.setPc(0x1000);
-        execute(state, {stores[pick], 0, 1, 2, 0}, nullptr);
+        exec(state, {stores[pick], 0, 1, 2, 0});
         shadow.write(addr, widths[pick], value);
     }
     for (Addr a = 0x8000; a < 0x8000 + 512 + 8; ++a)

@@ -7,8 +7,9 @@
  *       wall-clock records bench_timing writes) into the committed
  *       BENCH_slipstream.json schema, deriving dispatch speedup
  *       ratios (threaded/legacy etc.), the ORT scope-eviction size
- *       ratio, the OoO core's store-footprint ratio and the
- *       IR-detector's dense-vs-flat dataflow ratio, which are
+ *       ratio, the OoO core's store-footprint ratio, the
+ *       IR-detector's dense-vs-flat dataflow ratio and the cycle
+ *       models' throughput over the functional core's, which are
  *       machine-portable and therefore what CI gates on.
  *
  *   bench_diff <baseline.json> <new.json> [--filter <substr>]
@@ -299,9 +300,11 @@ extractGbench(const Json &root)
             out.push_back({n + ":insts/s", r, "insts/s", true});
         if (const double r = counterOf(b, "bytes_per_second"))
             out.push_back({n + ":bytes/s", r, "bytes/s", true});
-        // Per-size (per-shape) timings BM_OrtScopeEviction,
-        // BM_CoreStoreWindow and BM_IRDetectorTrace measure themselves.
-        for (const char *size : {"64", "65536", "1M", "dense", "flat"})
+        // Per-size (per-shape, per-model) timings BM_OrtScopeEviction,
+        // BM_CoreStoreWindow, BM_IRDetectorTrace and BM_CycleModel
+        // measure themselves.
+        for (const char *size : {"64", "65536", "1M", "dense", "flat",
+                                 "func", "ss", "cmp"})
             if (const double t =
                     counterOf(b, (std::string("ns_at_") + size).c_str()))
                 out.push_back({n + "/" + size + ":ns", t, "ns", false});
@@ -351,6 +354,17 @@ extractGbench(const Json &root)
     if (detectFlat > 0 && detectDense > 0)
         out.push_back({"speedup/irdetect_dense_vs_flat",
                        detectFlat / detectDense, "ratio", true});
+
+    // The SS and slipstream cycle models' simulated insts/s over the
+    // functional core's, on the same programs in the same run.
+    const double funcNs = valueOf("BM_CycleModel/func:ns");
+    for (const char *model : {"ss", "cmp"}) {
+        const double ns =
+            valueOf(std::string("BM_CycleModel/") + model + ":ns");
+        if (funcNs > 0 && ns > 0)
+            out.push_back({std::string("speedup/") + model + "_vs_func",
+                           funcNs / ns, "ratio", true});
+    }
     return out;
 }
 

@@ -65,6 +65,8 @@ enum class ErrorKind : uint8_t
     Unknown,
 };
 
+inline constexpr unsigned kNumErrorKinds = 4;
+
 /** "user_error", "internal_error", "resource", "unknown". */
 const char *errorKindName(ErrorKind kind);
 

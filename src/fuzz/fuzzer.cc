@@ -7,11 +7,23 @@
 #include "common/logging.hh"
 #include "fuzz/minimize.hh"
 #include "fuzz/repro.hh"
+#include "harness/schema.hh"
 #include "harness/sim_runner.hh"
-#include "harness/wire.hh"
 
 namespace slip::fuzz
 {
+
+/** FuzzCase over the worker-pool wire (fork isolation). */
+template <Is<FuzzCase> S, class V>
+void
+fields(S &c, V &&v)
+{
+    v("seed", c.seed);
+    v("diverged", c.diverged);
+    v("report", c.report);
+    v("bundle_path", c.bundlePath);
+    v("error", c.error);
+}
 
 namespace
 {
@@ -85,29 +97,6 @@ runSeed(uint64_t seed, const FuzzOptions &opt)
             c.error = std::string("bundle write failed: ") + e.what();
         }
     }
-    return c;
-}
-
-/** FuzzCase over the worker-pool wire (fork isolation). */
-void
-encodeFuzzCase(wire::Encoder &enc, const FuzzCase &c)
-{
-    enc.putU64(c.seed);
-    enc.putBool(c.diverged);
-    enc.putString(c.report);
-    enc.putString(c.bundlePath);
-    enc.putString(c.error);
-}
-
-FuzzCase
-decodeFuzzCase(wire::Decoder &dec)
-{
-    FuzzCase c;
-    c.seed = dec.getU64();
-    c.diverged = dec.getBool();
-    c.report = dec.getString();
-    c.bundlePath = dec.getString();
-    c.error = dec.getString();
     return c;
 }
 
@@ -199,15 +188,11 @@ runFuzz(const FuzzOptions &options)
             pool.run(
                 batch,
                 [&](size_t i, unsigned) {
-                    wire::Encoder enc;
-                    encodeFuzzCase(enc,
-                                   runSeed(next + i, options));
-                    return enc.bytes();
+                    return schema::encode(runSeed(next + i, options));
                 },
                 [&](size_t i, const IsolatedOutcome &iso) {
                     if (iso.ok()) {
-                        wire::Decoder dec(iso.payload);
-                        cases[i] = decodeFuzzCase(dec);
+                        cases[i] = schema::decode<FuzzCase>(iso.payload);
                         return;
                     }
                     if (iso.status == IsolatedOutcome::Status::Crashed)

@@ -52,18 +52,6 @@ trialOutcomeName(TrialOutcome outcome)
     return "?";
 }
 
-bool
-trialOutcomeFromName(const std::string &name, TrialOutcome &out)
-{
-    for (unsigned o = 0; o < kNumTrialOutcomes; ++o) {
-        if (name == trialOutcomeName(TrialOutcome(o))) {
-            out = TrialOutcome(o);
-            return true;
-        }
-    }
-    return false;
-}
-
 TrialOutcome
 classifyTrial(const RunMetrics &m)
 {
@@ -162,77 +150,6 @@ namespace
 {
 
 std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"':
-            out += "\\\"";
-            break;
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          case '\r':
-            out += "\\r";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20)
-                out += ' ';
-            else
-                out += c;
-        }
-    }
-    return out;
-}
-
-/** Extract "key":"value" from a journal line we wrote ourselves. */
-bool
-jsonFieldString(const std::string &line, const char *key,
-                std::string &out)
-{
-    const std::string needle = std::string("\"") + key + "\":\"";
-    const size_t at = line.find(needle);
-    if (at == std::string::npos)
-        return false;
-    out.clear();
-    for (size_t i = at + needle.size(); i < line.size(); ++i) {
-        char c = line[i];
-        if (c == '\\' && i + 1 < line.size()) {
-            char e = line[++i];
-            out += e == 'n' ? '\n' : e == 'r' ? '\r' : e == 't' ? '\t'
-                                                                : e;
-            continue;
-        }
-        if (c == '"')
-            return true;
-        out += c;
-    }
-    return false; // unterminated string: a torn final line
-}
-
-/** Extract "key":<integer> from a journal line. */
-bool
-jsonFieldU64(const std::string &line, const char *key, uint64_t &out)
-{
-    const std::string needle = std::string("\"") + key + "\":";
-    const size_t at = line.find(needle);
-    if (at == std::string::npos)
-        return false;
-    const char *p = line.c_str() + at + needle.size();
-    char *end = nullptr;
-    out = std::strtoull(p, &end, 10);
-    return end != p;
-}
-
-std::string
 resolveJournalPath(const FaultCampaignConfig &cfg)
 {
     if (!cfg.journalPath.empty())
@@ -257,112 +174,6 @@ firstJournalOpen(const std::string &path)
     static std::set<std::string> opened;
     std::lock_guard<std::mutex> lock(mu);
     return opened.insert(path).second;
-}
-
-/**
- * Compact per-target histogram encoding for the journal:
- * "target=bucket:count,bucket:count;target2=..." (non-zero buckets
- * only; empty when the trial detected nothing). Only bucket counts
- * round-trip — and only bucket counts reach the report — so a
- * resumed campaign renders byte-identical histograms.
- */
-std::string
-encodeLatencyHistograms(const std::map<std::string, Histogram> &hists)
-{
-    std::ostringstream out;
-    bool firstTarget = true;
-    for (const auto &[target, h] : hists) {
-        if (h.count() == 0)
-            continue;
-        if (!firstTarget)
-            out << ';';
-        firstTarget = false;
-        out << target << '=';
-        bool firstBucket = true;
-        for (unsigned b = 0; b < Histogram::kBuckets; ++b) {
-            if (!h.bucket(b))
-                continue;
-            if (!firstBucket)
-                out << ',';
-            firstBucket = false;
-            out << b << ':' << h.bucket(b);
-        }
-    }
-    return out.str();
-}
-
-void
-decodeLatencyHistograms(const std::string &enc,
-                        std::map<std::string, Histogram> &out)
-{
-    size_t pos = 0;
-    while (pos < enc.size()) {
-        size_t end = enc.find(';', pos);
-        if (end == std::string::npos)
-            end = enc.size();
-        const std::string part = enc.substr(pos, end - pos);
-        pos = end + 1;
-        const size_t eq = part.find('=');
-        if (eq == std::string::npos)
-            continue;
-        Histogram &h = out[part.substr(0, eq)];
-        size_t p = eq + 1;
-        while (p < part.size()) {
-            size_t e = part.find(',', p);
-            if (e == std::string::npos)
-                e = part.size();
-            char *after = nullptr;
-            const unsigned long b =
-                std::strtoul(part.c_str() + p, &after, 10);
-            if (after && *after == ':' && b < Histogram::kBuckets) {
-                const uint64_t n =
-                    std::strtoull(after + 1, nullptr, 10);
-                if (n)
-                    h.addToBucket(unsigned(b), n);
-            }
-            p = e + 1;
-        }
-    }
-}
-
-std::string
-journalLine(const FaultCampaignConfig &cfg, size_t trial,
-            const TrialRecord &t)
-{
-    std::ostringstream out;
-    out << "{\"campaign\":\"" << jsonEscape(cfg.name) << "\""
-        << ",\"seed\":" << cfg.seed << ",\"trial\":" << trial
-        << ",\"workload\":\"" << jsonEscape(t.workload) << "\""
-        << ",\"outcome\":\"" << trialOutcomeName(t.outcome) << "\""
-        << ",\"planned\":" << t.faultsPlanned
-        << ",\"injected\":" << t.faultsInjected
-        << ",\"detected\":" << t.faultsDetected
-        << ",\"degraded\":" << (t.degraded ? 1 : 0)
-        << ",\"latency_samples\":" << t.latencySamples
-        << ",\"latency_total\":" << t.latencyTotal
-        << ",\"latency_max\":" << t.latencyMax
-        << ",\"lat_hist\":\""
-        << jsonEscape(encodeLatencyHistograms(t.latencyByTarget))
-        << "\",\"cycles\":" << t.cycles
-        << ",\"backend\":\"" << jsonEscape(t.detectBackend) << "\""
-        << ",\"checked\":" << t.detectChecked
-        << ",\"det_mismatch\":" << t.detectMismatches
-        << ",\"det_external\":" << t.detectExternal
-        << ",\"det_replays\":" << t.detectReplays
-        << ",\"det_replayed\":" << t.detectReplayedInsts
-        << ",\"det_overhead\":" << t.detectOverhead
-        << ",\"policy\":\"" << jsonEscape(t.aStreamPolicy) << "\""
-        << ",\"error\":\"" << jsonEscape(t.error) << "\"";
-    // Worker-death triage rides along only when a worker actually
-    // died, so healthy trials' lines are byte-identical across
-    // isolation modes (and to journals written before fork isolation
-    // existed).
-    if (!t.crashPhase.empty())
-        out << ",\"signal\":" << t.crashSignal
-            << ",\"wexit\":" << t.crashExit << ",\"crash_phase\":\""
-            << jsonEscape(t.crashPhase) << "\"";
-    out << "}";
-    return out.str();
 }
 
 /**
@@ -415,7 +226,7 @@ class TrialJournal
         std::lock_guard<std::mutex> lock(mu_);
         // One write() per line: O_APPEND makes the line land whole
         // even if several campaigns share the journal file.
-        const std::string line = journalLine(cfg, trial, t) + "\n";
+        const std::string line = campaignTrialLine(cfg, trial, t) + "\n";
         size_t off = 0;
         while (off < line.size()) {
             const ssize_t n =
@@ -441,6 +252,20 @@ class TrialJournal
     std::mutex mu_;
     int fd_ = -1;
 };
+
+/**
+ * The parameters a trial runs under: the config's, with reliable
+ * (AR-SMT) mode's removal switch applied. The trial key hashes these,
+ * so slipd and slip_campaign agree however each spelled the mode.
+ */
+SlipstreamParams
+trialParams(const FaultCampaignConfig &cfg)
+{
+    SlipstreamParams params = cfg.params;
+    if (cfg.reliableMode)
+        params.irPred.enabled = false;
+    return params;
+}
 
 /** Per-trial aggregates the tallies and the journal consume. */
 void
@@ -541,16 +366,39 @@ runCampaignTrial(const FaultCampaignConfig &cfg,
     obs::TrialTrace scope(trialName);
     if (cfg.trialHook)
         cfg.trialHook(trial);
-    SlipstreamParams params = cfg.params;
-    if (cfg.reliableMode)
-        params.irPred.enabled = false;
-    RunMetrics m = runSlipstream(entry->program, params, entry->golden,
-                                 spec.plans, spec.maxCycles, &cancel);
+    RunMetrics m = runSlipstream(entry->program, trialParams(cfg),
+                                 entry->golden, spec.plans,
+                                 spec.maxCycles, &cancel);
     if (m.cancelled) {
         SLIP_TRACE(obs::Category::Trial, obs::Name::TrialTimeout,
                    obs::Phase::Instant, m.cycles, 0);
     }
     return m;
+}
+
+TrialKey
+campaignTrialKey(const FaultCampaignConfig &cfg,
+                 const CampaignTrialSpec &spec, size_t trial)
+{
+    const auto *entry =
+        static_cast<const ProgramCache::Entry *>(spec.entry);
+    const Program &p = entry->program;
+    wire::Encoder enc;
+    enc.putU32(kResultsVersion);
+    // The assembled image, not the source text: a workload generator
+    // change misses on its own.
+    enc.putU64(p.entry());
+    schema::encode(enc, p.rawTextWords());
+    schema::encode(enc, p.dataBytes());
+    enc.putString(spec.workload);
+    schema::encode(enc, cfg);
+    schema::encode(enc, trialParams(cfg));
+    // The drawn plans, not the Rng inputs: the key stays honest if
+    // planning ever changes.
+    schema::encode(enc, spec.plans);
+    enc.putU64(spec.maxCycles);
+    enc.putU64(trial);
+    return keyOf(enc.bytes());
 }
 
 TrialRecord
@@ -559,6 +407,7 @@ recordCampaignTrial(const FaultCampaignConfig &cfg,
                     const JobOutcome &o)
 {
     TrialRecord t;
+    t.key = campaignTrialKey(cfg, spec, trial);
     t.workload = spec.workload;
     t.plans = spec.plans;
     t.faultsPlanned = spec.plans.size();
@@ -605,7 +454,24 @@ std::string
 campaignTrialLine(const FaultCampaignConfig &cfg, size_t trial,
                   const TrialRecord &t)
 {
-    return journalLine(cfg, trial, t);
+    schema::JsonWriter w;
+    w("campaign", cfg.name);
+    w("seed", cfg.seed);
+    w("trial", uint64_t(trial));
+    fields(t, w);
+    return w.line();
+}
+
+bool
+readCampaignTrialLine(const std::string &line, std::string &campaign,
+                      uint64_t &seed, uint64_t &trial, TrialRecord &t)
+{
+    schema::JsonReader r(line);
+    r("campaign", campaign);
+    r("seed", seed);
+    r("trial", trial);
+    fields(t, r);
+    return r.ok();
 }
 
 FaultCampaignResult
@@ -624,111 +490,34 @@ runFaultCampaign(const FaultCampaignConfig &cfg)
         cfg.resume || envFlag("SLIPSTREAM_CAMPAIGN_RESUME", false);
 
     // Resume: reconstruct already-journaled trials. A line counts
-    // only if campaign name, seed, trial index, and workload all
-    // match the freshly drawn plan — a journal from a different
-    // configuration can never leak into the report.
+    // only if its key equals the trial's own — the whole identity, so
+    // a journal from any other configuration can never leak into the
+    // report. Lines without a key re-run.
     std::vector<std::optional<TrialRecord>> done(specs.size());
     if (resume) {
+        std::vector<TrialKey> keys;
+        keys.reserve(specs.size());
+        for (size_t i = 0; i < specs.size(); ++i)
+            keys.push_back(campaignTrialKey(cfg, specs[i], i));
         std::ifstream in(journalPath);
         std::string line;
         size_t used = 0, skipped = 0;
         while (in && std::getline(in, line)) {
             if (line.empty())
                 continue;
-            std::string campaign, workload, outcomeName, error;
+            std::string campaign;
             uint64_t seed = 0, trial = 0;
-            // A sound line is a complete object whose *last* field
-            // ("error") parses — a torn final line from a killed
-            // writer fails one of these even when its leading fields
-            // survived the cut.
-            if (line.front() != '{' || line.back() != '}' ||
-                !jsonFieldString(line, "campaign", campaign) ||
-                !jsonFieldU64(line, "seed", seed) ||
-                !jsonFieldU64(line, "trial", trial) ||
-                !jsonFieldString(line, "workload", workload) ||
-                !jsonFieldString(line, "outcome", outcomeName) ||
-                !jsonFieldString(line, "error", error)) {
-                ++skipped; // torn or foreign line
-                continue;
-            }
-            if (campaign != cfg.name || seed != cfg.seed)
-                continue; // another campaign's journal entries
-            TrialOutcome outcome;
-            if (trial >= specs.size() ||
-                workload != specs[trial].workload ||
-                !trialOutcomeFromName(outcomeName, outcome)) {
-                ++skipped;
-                continue;
-            }
             TrialRecord t;
-            t.workload = workload;
+            // A torn final line from a killed writer fails to parse.
+            const bool parsed =
+                readCampaignTrialLine(line, campaign, seed, trial, t);
+            if (parsed && (campaign != cfg.name || seed != cfg.seed))
+                continue; // another campaign's journal entries
+            if (!parsed || trial >= specs.size() || t.key != keys[trial]) {
+                ++skipped; // torn, keyless, or another configuration's
+                continue;
+            }
             t.plans = specs[trial].plans;
-            t.outcome = outcome;
-            jsonFieldU64(line, "planned", t.faultsPlanned);
-            jsonFieldU64(line, "injected", t.faultsInjected);
-            jsonFieldU64(line, "detected", t.faultsDetected);
-            uint64_t degraded = 0;
-            jsonFieldU64(line, "degraded", degraded);
-            t.degraded = degraded != 0;
-            jsonFieldU64(line, "latency_samples", t.latencySamples);
-            jsonFieldU64(line, "latency_total", t.latencyTotal);
-            jsonFieldU64(line, "latency_max", t.latencyMax);
-            std::string latHist;
-            if (jsonFieldString(line, "lat_hist", latHist))
-                decodeLatencyHistograms(latHist, t.latencyByTarget);
-            jsonFieldU64(line, "cycles", t.cycles);
-            // A journaled trial only counts for the backend it ran
-            // under: resuming a replay campaign over a slipstream
-            // journal must re-run, not adopt, those trials. Lines
-            // without the field (pre-backend journals) are only
-            // sound for the slipstream (native) configuration.
-            const char *cfgBackend =
-                detectBackendName(cfg.params.detect.kind);
-            std::string backend;
-            if (jsonFieldString(line, "backend", backend)) {
-                if (backend != cfgBackend) {
-                    ++skipped;
-                    continue;
-                }
-            } else if (cfg.params.detect.kind !=
-                       DetectBackendKind::Slipstream) {
-                ++skipped;
-                continue;
-            }
-            t.detectBackend = cfgBackend;
-            // Same contract for the A-stream policy tag: a journaled
-            // trial only counts for the policy it ran under, and
-            // lines without the field (pre-policy journals) are only
-            // sound for the paper's default (ir) configuration.
-            const char *cfgPolicy =
-                aStreamPolicyName(cfg.params.aPolicy.kind);
-            std::string policy;
-            if (jsonFieldString(line, "policy", policy)) {
-                if (policy != cfgPolicy) {
-                    ++skipped;
-                    continue;
-                }
-            } else if (cfg.params.aPolicy.kind !=
-                       AStreamPolicyKind::IRRemoval) {
-                ++skipped;
-                continue;
-            }
-            t.aStreamPolicy = cfgPolicy;
-            jsonFieldU64(line, "checked", t.detectChecked);
-            jsonFieldU64(line, "det_mismatch", t.detectMismatches);
-            jsonFieldU64(line, "det_external", t.detectExternal);
-            jsonFieldU64(line, "det_replays", t.detectReplays);
-            jsonFieldU64(line, "det_replayed", t.detectReplayedInsts);
-            jsonFieldU64(line, "det_overhead", t.detectOverhead);
-            t.error = std::move(error);
-            // Optional worker-death triage (absent on healthy lines
-            // and on journals from before fork isolation existed).
-            uint64_t sig = 0, wexit = 0;
-            if (jsonFieldU64(line, "signal", sig))
-                t.crashSignal = int(sig);
-            if (jsonFieldU64(line, "wexit", wexit))
-                t.crashExit = int(wexit);
-            jsonFieldString(line, "crash_phase", t.crashPhase);
             if (!done[trial])
                 ++used;
             done[trial] = std::move(t);

@@ -35,7 +35,8 @@
  * flushed) as one JSONL line to a journal
  * (results/fault_campaign.journal.jsonl by default), and a campaign
  * started in resume mode skips already-journaled trials — the final
- * report is byte-identical wherever a previous run died.
+ * report is byte-identical wherever a previous run died. Resume
+ * adopts a line only when its key equals the trial's campaignTrialKey.
  */
 
 #ifndef SLIPSTREAM_HARNESS_FAULT_CAMPAIGN_HH
@@ -51,6 +52,7 @@
 
 #include "common/stats.hh"
 #include "harness/experiment.hh"
+#include "harness/schema.hh"
 #include "harness/sim_runner.hh"
 #include "harness/worker_pool.hh"
 #include "workloads/workloads.hh"
@@ -88,8 +90,9 @@ inline constexpr unsigned kNumTrialOutcomes = 10;
 /** "detected_recovered", "hung_recovered", ... (report keys). */
 const char *trialOutcomeName(TrialOutcome outcome);
 
-/** Inverse of trialOutcomeName (journal parsing); false = unknown. */
-bool trialOutcomeFromName(const std::string &name, TrialOutcome &out);
+template <>
+inline constexpr EnumInfo<TrialOutcome> kEnumInfo<TrialOutcome>{
+    kNumTrialOutcomes, trialOutcomeName};
 
 /** Classify one finished trial from its metrics. */
 TrialOutcome classifyTrial(const RunMetrics &m);
@@ -143,10 +146,10 @@ struct FaultCampaignConfig
     std::string journalPath;
 
     /**
-     * Skip trials already journaled (matched by campaign name, seed,
-     * trial index, and workload) instead of re-running them. Also
-     * enabled by $SLIPSTREAM_CAMPAIGN_RESUME. The final report is
-     * byte-identical to an uninterrupted run's.
+     * Skip trials already journaled (matched by their full key,
+     * campaignTrialKey) instead of re-running them. Also enabled by
+     * $SLIPSTREAM_CAMPAIGN_RESUME. The final report is byte-identical
+     * to an uninterrupted run's.
      */
     bool resume = false;
 
@@ -187,6 +190,29 @@ struct FaultCampaignConfig
 };
 
 /**
+ * The campaign's identity fields. `params` is identity too, but the
+ * key hashes the parameters trials actually run under (trialParams).
+ * Deployment settings (isolation, workers, journalPath, resume,
+ * quarantineDir, journalFsync, trialHook) must not change result
+ * bytes, so they are absent.
+ */
+template <Is<FaultCampaignConfig> S, class V>
+void
+fields(S &c, V &&v)
+{
+    v("name", c.name);
+    v("workloads", c.workloads);
+    v("size", c.size);
+    v("trials_per_workload", c.trialsPerWorkload);
+    v("min_faults", c.minFaultsPerTrial);
+    v("max_faults", c.maxFaultsPerTrial);
+    v("seed", c.seed);
+    v("reliable", c.reliableMode);
+    v("targets", c.targets);
+    v("cycle_cap_per_inst", c.cycleCapPerInst);
+}
+
+/**
  * One trial's full story. The aggregate fields (fault counts,
  * latency sums, cycles) are what the tallies and the JSON report
  * consume; they are journaled verbatim, so a trial reconstructed on
@@ -196,6 +222,9 @@ struct FaultCampaignConfig
  */
 struct TrialRecord
 {
+    /** campaignTrialKey() (journaled; resume matches on it). */
+    TrialKey key;
+
     std::string workload;
     std::vector<FaultPlan> plans;
     TrialOutcome outcome = TrialOutcome::NoVictim;
@@ -220,7 +249,7 @@ struct TrialRecord
     Cycle latencyMax = 0;
     Cycle cycles = 0;
 
-    /** A-stream policy the trial ran under (journaled, tag-matched). */
+    /** A-stream policy the trial ran under (journaled). */
     std::string aStreamPolicy;
 
     // Detection-backend aggregates (journaled; see RunMetrics).
@@ -239,6 +268,43 @@ struct TrialRecord
      */
     std::map<std::string, Histogram> latencyByTarget;
 };
+
+/**
+ * The journaled fields of a TrialRecord, after the line's "campaign",
+ * "seed" and "trial". Worker-death triage rides along only when a
+ * worker died, so healthy lines match across isolation modes.
+ */
+template <Is<TrialRecord> S, class V>
+void
+fields(S &t, V &&v)
+{
+    v("key", t.key);
+    v("workload", t.workload);
+    v("outcome", t.outcome);
+    v("planned", t.faultsPlanned);
+    v("injected", t.faultsInjected);
+    v("detected", t.faultsDetected);
+    v("degraded", t.degraded);
+    v("latency_samples", t.latencySamples);
+    v("latency_total", t.latencyTotal);
+    v("latency_max", t.latencyMax);
+    v("lat_hist", t.latencyByTarget);
+    v("cycles", t.cycles);
+    v("backend", t.detectBackend);
+    v("checked", t.detectChecked);
+    v("det_mismatch", t.detectMismatches);
+    v("det_external", t.detectExternal);
+    v("det_replays", t.detectReplays);
+    v("det_replayed", t.detectReplayedInsts);
+    v("det_overhead", t.detectOverhead);
+    v("policy", t.aStreamPolicy);
+    v("error", t.error);
+    if (v.optionalTail(!t.crashPhase.empty())) {
+        v("signal", t.crashSignal);
+        v("wexit", t.crashExit);
+        v("crash_phase", t.crashPhase);
+    }
+}
 
 /** Aggregated counts (whole campaign or one workload). */
 struct CampaignTally
@@ -344,6 +410,22 @@ RunMetrics runCampaignTrial(const FaultCampaignConfig &cfg,
                             const CancelToken &cancel);
 
 /**
+ * Revision of the result bytes. A change that alters any trial's
+ * result line (a timing fix, a new journaled field) bumps it, so old
+ * journal lines and cache entries stop matching.
+ */
+inline constexpr uint32_t kResultsVersion = 1;
+
+/**
+ * The trial's identity: kResultsVersion, the program image, the
+ * workload, the campaign's identity fields, the effective
+ * SlipstreamParams, the fault plans, the cycle cap and the trial
+ * index. Journal lines and slipd cache entries carry it.
+ */
+TrialKey campaignTrialKey(const FaultCampaignConfig &cfg,
+                          const CampaignTrialSpec &spec, size_t trial);
+
+/**
  * Classify one finished job into the TrialRecord the tallies, the
  * journal, and the JSONL stream consume — including crash triage for
  * trials whose worker died.
@@ -359,6 +441,11 @@ TrialRecord recordCampaignTrial(const FaultCampaignConfig &cfg,
  */
 std::string campaignTrialLine(const FaultCampaignConfig &cfg,
                               size_t trial, const TrialRecord &t);
+
+/** The inverse of campaignTrialLine(); false on a torn or foreign line. */
+bool readCampaignTrialLine(const std::string &line, std::string &campaign,
+                           uint64_t &seed, uint64_t &trial,
+                           TrialRecord &t);
 
 /** Run the campaign (parallel trials, deterministic results). */
 FaultCampaignResult runFaultCampaign(const FaultCampaignConfig &cfg);

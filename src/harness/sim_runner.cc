@@ -14,7 +14,7 @@
 #include "common/logging.hh"
 #include "func/func_sim.hh"
 #include "harness/thread_pool.hh"
-#include "harness/wire.hh"
+#include "harness/schema.hh"
 #include "obs/trace_session.hh"
 
 namespace slip
@@ -262,20 +262,15 @@ SimJobRunner::runForkIsolated(const std::vector<CancellableJob> &batch,
     const auto execute = [&](size_t job, unsigned) -> std::string {
         // Worker child. No watchdog: the parent holds the deadline.
         setCrashContext(job, TrialPhase::Run);
-        const JobOutcome out = executeOne(batch[job], nullptr);
-        wire::Encoder enc;
-        wire::encodeJobOutcome(enc, out);
-        return enc.bytes();
+        return schema::encode(executeOne(batch[job], nullptr));
     };
 
     const auto collect = [&](size_t job, const IsolatedOutcome &iso) {
         JobOutcome out;
         switch (iso.status) {
-          case IsolatedOutcome::Status::Ok: {
-            wire::Decoder dec(iso.payload);
-            out = wire::decodeJobOutcome(dec);
+          case IsolatedOutcome::Status::Ok:
+            out = schema::decode<JobOutcome>(iso.payload);
             break;
-          }
           case IsolatedOutcome::Status::Crashed: {
             out.status = JobOutcome::Status::Crashed;
             out.errorKind = ErrorKind::InternalError;

@@ -105,6 +105,7 @@ struct JobOutcome
         TimedOut,
         Crashed,
     };
+    static constexpr unsigned kNumStatuses = 4;
 
     Status status = Status::Ok;
     RunMetrics metrics;

@@ -31,9 +31,9 @@
  * Decoder getters bounds-check and raise fatal() on truncation, so a
  * torn or corrupt payload is an error, never a silent misparse.
  *
- * The higher-level codecs (RunMetrics, JobOutcome) serialize exactly
- * the state the harness consumes, so a trial executed in a worker
- * process reports byte-for-byte what the same trial reports in-process.
+ * Structured payloads are built from field lists (harness/schema.hh),
+ * so a trial executed in a worker process reports byte-for-byte what
+ * the same trial reports in-process.
  */
 
 #ifndef SLIPSTREAM_HARNESS_WIRE_HH
@@ -41,13 +41,6 @@
 
 #include <cstdint>
 #include <string>
-
-#include "harness/experiment.hh"
-
-namespace slip
-{
-struct JobOutcome; // harness/sim_runner.hh
-} // namespace slip
 
 namespace slip::wire
 {
@@ -102,8 +95,6 @@ class Encoder
     void putU16(uint16_t v);
     void putU32(uint32_t v);
     void putU64(uint64_t v);
-    void putI32(int32_t v) { putU32(uint32_t(v)); }
-    void putBool(bool v) { putU8(v ? 1 : 0); }
     /** Bit pattern, not decimal text: doubles round-trip exactly. */
     void putDouble(double v);
     void putString(const std::string &s);
@@ -124,8 +115,6 @@ class Decoder
     uint16_t getU16();
     uint32_t getU32();
     uint64_t getU64();
-    int32_t getI32() { return int32_t(getU32()); }
-    bool getBool() { return getU8() != 0; }
     double getDouble();
     std::string getString();
 
@@ -172,21 +161,6 @@ bool writeFrameVersion(int fd, MsgType type, uint16_t version,
  * Handshake use only; mid-stream frames go through readFrame.
  */
 ReadResult readFrameInfo(int fd, FrameInfo &frame);
-
-// ---------------------------------------------------------------------
-// Harness codecs.
-// ---------------------------------------------------------------------
-
-/** Everything in RunMetrics, including the per-fault records. */
-void encodeRunMetrics(Encoder &enc, const RunMetrics &m);
-RunMetrics decodeRunMetrics(Decoder &dec);
-
-/**
- * A JobOutcome minus the bits that cannot cross a process boundary:
- * the exception_ptr stays behind (kind + message travel instead).
- */
-void encodeJobOutcome(Encoder &enc, const JobOutcome &o);
-JobOutcome decodeJobOutcome(Decoder &dec);
 
 } // namespace slip::wire
 

@@ -114,10 +114,8 @@ Client::submitBatch(const BatchRequest &req, const OnResult &onResult,
         err = "not connected";
         return false;
     }
-    wire::Encoder enc;
-    encodeBatchRequest(enc, req);
     if (!wire::writeFrame(fd_, wire::MsgType::BatchRequest,
-                          enc.bytes())) {
+                          schema::encode(req))) {
         err = "server closed the connection";
         return false;
     }
@@ -136,23 +134,20 @@ Client::submitBatch(const BatchRequest &req, const OnResult &onResult,
             return false;
         }
         if (type == wire::MsgType::TrialResult) {
-            wire::Decoder dec(payload);
-            const TrialResultMsg m = decodeTrialResult(dec);
+            const TrialResultMsg m =
+                schema::decode<TrialResultMsg>(payload);
             const bool keep = onResult ? onResult(m) : true;
             if (!keep && !cancelSent) {
-                wire::Encoder cancel;
-                cancel.putU64(req.id);
                 // A failed cancel write means the server is gone; the
                 // next read will say so.
                 wire::writeFrame(fd_, wire::MsgType::CancelBatch,
-                                 cancel.bytes());
+                                 schema::encode(req.id));
                 cancelSent = true;
             }
             continue;
         }
         if (type == wire::MsgType::BatchDone) {
-            wire::Decoder dec(payload);
-            done = decodeBatchDone(dec);
+            done = schema::decode<BatchDoneMsg>(payload);
             return true;
         }
         err = "unexpected frame type " +
@@ -179,8 +174,7 @@ Client::queryStats(ServeStats &stats, std::string &err)
         err = "no stats reply";
         return false;
     }
-    wire::Decoder dec(payload);
-    stats = decodeServeStats(dec);
+    stats = schema::decode<ServeStats>(payload);
     return true;
 }
 

@@ -1,7 +1,6 @@
 #include "serve/result_cache.hh"
 
 #include <algorithm>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -10,123 +9,12 @@
 
 #include "common/env.hh"
 #include "common/logging.hh"
-#include "detect/detect_params.hh"
-#include "harness/sim_runner.hh"
-#include "harness/wire.hh"
 #include "obs/trace_session.hh"
 
 namespace fs = std::filesystem;
 
 namespace slip::serve
 {
-
-namespace
-{
-
-constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr uint64_t kFnvPrime = 0x100000001b3ULL;
-
-/**
- * Two FNV-1a streams over the same bytes, decorrelated by seeding the
- * second with the first's offset basis xor a constant and walking the
- * bytes salted. 128 bits makes accidental collision over any
- * realistic campaign count (< 2^40 entries) a non-issue.
- */
-CacheKey
-fnv128(const std::string &bytes)
-{
-    uint64_t a = kFnvOffset;
-    uint64_t b = kFnvOffset ^ 0x9e3779b97f4a7c15ULL;
-    for (unsigned char c : bytes) {
-        a = (a ^ c) * kFnvPrime;
-        b = (b ^ (c + 0x7f)) * kFnvPrime;
-    }
-    return CacheKey{a, b};
-}
-
-} // namespace
-
-std::string
-CacheKey::hex() const
-{
-    char buf[33];
-    std::snprintf(buf, sizeof(buf), "%016llx%016llx",
-                  static_cast<unsigned long long>(hi),
-                  static_cast<unsigned long long>(lo));
-    return std::string(buf, 32);
-}
-
-CacheKey
-cacheKeyOf(const std::string &canonicalBytes)
-{
-    return fnv128(canonicalBytes);
-}
-
-CacheKey
-campaignTrialKey(const FaultCampaignConfig &cfg,
-                 const CampaignTrialSpec &spec, size_t trial)
-{
-    const auto *entry =
-        static_cast<const ProgramCache::Entry *>(spec.entry);
-    wire::Encoder enc;
-
-    // The wire revision versions the whole serialization: bump
-    // wire::kVersion and every old entry silently misses.
-    enc.putU16(wire::kVersion);
-
-    // Program identity: the assembled image, not the source text.
-    const Program &p = entry->program;
-    enc.putU64(p.entry());
-    enc.putU32(uint32_t(p.rawTextWords().size()));
-    for (uint32_t w : p.rawTextWords())
-        enc.putU32(w);
-    enc.putU32(uint32_t(p.dataBytes().size()));
-    for (uint8_t byte : p.dataBytes())
-        enc.putU8(byte);
-
-    // Trial identity within the campaign.
-    enc.putString(cfg.name);
-    enc.putString(spec.workload);
-    enc.putU8(uint8_t(cfg.size));
-    enc.putU64(cfg.seed);
-    enc.putU64(trial);
-    enc.putBool(cfg.reliableMode);
-    enc.putU64(cfg.cycleCapPerInst);
-    enc.putU64(spec.maxCycles);
-
-    // The planned faults (already drawn; hashing the plan, not the
-    // Rng inputs, keeps the key honest if planning ever changes).
-    enc.putU32(uint32_t(spec.plans.size()));
-    for (const FaultPlan &plan : spec.plans) {
-        enc.putU8(uint8_t(plan.target));
-        enc.putU64(plan.dynIndex);
-        enc.putU32(plan.bit);
-        enc.putU32(plan.reg);
-    }
-
-    // Detection backend + tuning (changes result bytes).
-    const DetectParams &d = cfg.params.detect;
-    enc.putU8(uint8_t(d.kind));
-    enc.putU64(d.replayWindow);
-    enc.putU32(d.replayWidth);
-    enc.putU32(d.checkerBandwidth);
-    enc.putU32(d.checkerQueue);
-
-    // A-stream policy + tuning (changes trial dynamics AND result
-    // bytes): two policies on the same program/seed must never alias
-    // to one cache entry.
-    const AStreamPolicyParams &ap = cfg.params.aPolicy;
-    enc.putU8(uint8_t(ap.kind));
-    enc.putU32(ap.runaheadTraces);
-    enc.putU32(ap.missLines);
-    enc.putU32(ap.cooldownTraces);
-
-    // Watchdog shape feeds the cycle cap and hung classification.
-    enc.putU64(cfg.params.watchdog.stallCycles);
-    enc.putU32(cfg.params.watchdog.maxTrips);
-
-    return fnv128(enc.bytes());
-}
 
 ResultCache::ResultCache(std::string root, uint64_t maxEntries)
     : root_(std::move(root)),
@@ -159,26 +47,35 @@ ResultCache::ResultCache(std::string root, uint64_t maxEntries)
 }
 
 std::string
-ResultCache::pathFor(const CacheKey &key) const
+ResultCache::pathFor(const TrialKey &key) const
 {
     const std::string hex = key.hex();
     return root_ + "/" + hex.substr(0, 2) + "/" + hex;
 }
 
 bool
-ResultCache::lookup(const CacheKey &key, std::string &line)
+ResultCache::lookup(const TrialKey &key, std::string &line)
 {
     if (root_.empty())
         return false;
     std::ifstream in(pathFor(key), std::ios::binary);
+    std::string body;
+    if (in) {
+        std::ostringstream bytes;
+        bytes << in.rdbuf();
+        body = bytes.str();
+    }
+    // A hit proves its identity: a torn, corrupt or misfiled entry
+    // is a miss, and the store after the re-simulation replaces it.
+    TrialKey stored;
+    const bool hit = schema::JsonReader::lineKey(body, stored) &&
+                     stored == key;
     std::lock_guard<std::mutex> lock(mu_);
-    if (!in) {
+    if (!hit) {
         ++stats_.counter("misses");
         return false;
     }
-    std::ostringstream body;
-    body << in.rdbuf();
-    line = body.str();
+    line = std::move(body);
     ++stats_.counter("hits");
     SLIP_TRACE(obs::Category::Serve, obs::Name::CacheHit,
                obs::Phase::Instant, key.hi, key.lo);
@@ -186,15 +83,16 @@ ResultCache::lookup(const CacheKey &key, std::string &line)
 }
 
 void
-ResultCache::store(const CacheKey &key, const std::string &line)
+ResultCache::store(const TrialKey &key, const std::string &line)
 {
     if (root_.empty())
         return;
     const std::string path = pathFor(key);
     std::error_code ec;
     fs::create_directories(fs::path(path).parent_path(), ec);
-    if (fs::exists(path, ec))
-        return; // content-addressed: same key, same bytes
+    // Stores follow misses, so an existing entry is a corrupt one (or
+    // a concurrent store of the same bytes): replace it either way.
+    const bool replacing = fs::exists(path, ec);
     const std::string tmp =
         path + ".tmp." + std::to_string(::getpid());
     {
@@ -219,7 +117,8 @@ ResultCache::store(const CacheKey &key, const std::string &line)
     }
     {
         std::lock_guard<std::mutex> lock(mu_);
-        ++entries_;
+        if (!replacing)
+            ++entries_;
         ++stats_.counter("stores");
     }
     SLIP_TRACE(obs::Category::Serve, obs::Name::CacheStore,

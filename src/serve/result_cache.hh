@@ -2,25 +2,24 @@
  * @file
  * Persistent content-addressed result cache for served trials.
  *
- * A trial's result line is a pure function of (program bytes, config,
- * seed, trial index, fault plans, detection backend + tuning, wire
- * protocol version) — deliberately NOT of isolation mode, worker
- * count, or client count, which the byte-identity invariant says must
- * not change result bytes. The cache key is a 128-bit FNV-1a hash of
- * a canonical wire::Encoder serialization of exactly those inputs, so
- * a repeated batch — same client, different client, or a slipd
- * restarted yesterday — answers from disk without re-simulating.
+ * Entries are addressed by the trial key (campaignTrialKey in
+ * harness/fault_campaign.hh): kResultsVersion, the assembled program
+ * image, the campaign's identity fields, the full effective
+ * SlipstreamParams, the fault plans and the trial index — everything
+ * that shapes result bytes, and deliberately NOT isolation mode,
+ * worker count or client count, which the byte-identity invariant
+ * says cannot change them. A repeated batch — same client, different
+ * client, or a slipd restarted yesterday — answers from disk without
+ * re-simulating, and a change to the simulator's result bytes (a
+ * kResultsVersion bump) misses instead of serving stale lines.
  *
  * Layout: one file per entry, `root/<hh>/<32-hex-key>`, holding the
- * exact JSONL line bytes (no newline). Stores write to a temp sibling
- * and rename into place, so a killed slipd never leaves a torn entry
- * — a half-written temp file just never becomes visible. The two-hex
+ * exact JSONL line bytes (no newline). Every line carries its own
+ * "key" pair, and a hit must prove it: an entry whose line does not
+ * parse or names another key is a miss, and the store that follows
+ * replaces it. Stores write to a temp sibling and rename into place,
+ * so a killed slipd never leaves a torn entry visible. The two-hex
  * shard keeps directories small at 6-figure entry counts.
- *
- * Hashing the *assembled program image* (raw text words + data +
- * entry pc) rather than the workload name alone means a workload
- * generator change silently invalidates every affected entry; there
- * is no version file to forget to bump.
  */
 
 #ifndef SLIPSTREAM_SERVE_RESULT_CACHE_HH
@@ -32,36 +31,10 @@
 #include <vector>
 
 #include "common/stats.hh"
-#include "harness/fault_campaign.hh"
+#include "harness/schema.hh"
 
 namespace slip::serve
 {
-
-/** 128-bit content hash (two independent FNV-1a streams). */
-struct CacheKey
-{
-    uint64_t hi = 0;
-    uint64_t lo = 0;
-
-    /** 32 lowercase hex digits (the on-disk file name). */
-    std::string hex() const;
-
-    bool
-    operator==(const CacheKey &o) const
-    {
-        return hi == o.hi && lo == o.lo;
-    }
-};
-
-/**
- * The canonical key of one campaign trial. `cfg` and `spec` must be
- * the planCampaignTrials() inputs/outputs the trial will run under.
- */
-CacheKey campaignTrialKey(const FaultCampaignConfig &cfg,
-                          const CampaignTrialSpec &spec, size_t trial);
-
-/** A key over arbitrary canonical bytes (fuzz trials, tests). */
-CacheKey cacheKeyOf(const std::string &canonicalBytes);
 
 /**
  * The cache itself. Thread-safe: servers probe and store from many
@@ -80,11 +53,17 @@ class ResultCache
      */
     explicit ResultCache(std::string root, uint64_t maxEntries = 0);
 
-    /** True + the stored line on a hit. */
-    bool lookup(const CacheKey &key, std::string &line);
+    /**
+     * True + the stored line on a hit: an entry whose line parses and
+     * carries `key` as its "key" pair. Anything else is a miss.
+     */
+    bool lookup(const TrialKey &key, std::string &line);
 
-    /** Persist one result line (atomic rename; never throws). */
-    void store(const CacheKey &key, const std::string &line);
+    /**
+     * Persist one result line (atomic rename, replacing any entry
+     * under the key; never throws).
+     */
+    void store(const TrialKey &key, const std::string &line);
 
     uint64_t hits() const;
     uint64_t misses() const;
@@ -103,7 +82,7 @@ class ResultCache
   private:
     void evictIfNeeded();
 
-    std::string pathFor(const CacheKey &key) const;
+    std::string pathFor(const TrialKey &key) const;
 
     std::string root_;
     uint64_t maxEntries_;

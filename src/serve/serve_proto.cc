@@ -51,154 +51,8 @@ BatchRequest::toCampaignConfig() const
     cfg.targets = targets;
     cfg.params.detect = detect;
     cfg.params.aPolicy = policy;
-    if (reliableMode)
-        cfg.params.irPred.enabled = false;
     cfg.cycleCapPerInst = cycleCapPerInst;
     return cfg;
-}
-
-void
-encodeBatchRequest(wire::Encoder &enc, const BatchRequest &b)
-{
-    enc.putU8(uint8_t(b.kind));
-    enc.putU64(b.id);
-    enc.putString(b.name);
-    enc.putU32(uint32_t(b.workloads.size()));
-    for (const std::string &w : b.workloads)
-        enc.putString(w);
-    enc.putU8(uint8_t(b.size));
-    enc.putU32(b.trialsPerWorkload);
-    enc.putU32(b.minFaultsPerTrial);
-    enc.putU32(b.maxFaultsPerTrial);
-    enc.putU64(b.seed);
-    enc.putBool(b.reliableMode);
-    enc.putU32(uint32_t(b.targets.size()));
-    for (FaultTarget t : b.targets)
-        enc.putU8(uint8_t(t));
-    enc.putU8(uint8_t(b.detect.kind));
-    enc.putU64(b.detect.replayWindow);
-    enc.putU32(b.detect.replayWidth);
-    enc.putU32(b.detect.checkerBandwidth);
-    enc.putU32(b.detect.checkerQueue);
-    enc.putU8(uint8_t(b.policy.kind));
-    enc.putU32(b.policy.runaheadTraces);
-    enc.putU32(b.policy.missLines);
-    enc.putU32(b.policy.cooldownTraces);
-    enc.putU64(b.cycleCapPerInst);
-    enc.putU64(b.seedBegin);
-    enc.putU64(b.seedEnd);
-}
-
-BatchRequest
-decodeBatchRequest(wire::Decoder &dec)
-{
-    BatchRequest b;
-    b.kind = BatchKind(dec.getU8());
-    b.id = dec.getU64();
-    b.name = dec.getString();
-    const uint32_t nw = dec.getU32();
-    for (uint32_t i = 0; i < nw; ++i)
-        b.workloads.push_back(dec.getString());
-    b.size = WorkloadSize(dec.getU8());
-    b.trialsPerWorkload = dec.getU32();
-    b.minFaultsPerTrial = dec.getU32();
-    b.maxFaultsPerTrial = dec.getU32();
-    b.seed = dec.getU64();
-    b.reliableMode = dec.getBool();
-    const uint32_t nt = dec.getU32();
-    for (uint32_t i = 0; i < nt; ++i)
-        b.targets.push_back(FaultTarget(dec.getU8()));
-    b.detect.kind = DetectBackendKind(dec.getU8());
-    b.detect.replayWindow = dec.getU64();
-    b.detect.replayWidth = dec.getU32();
-    b.detect.checkerBandwidth = dec.getU32();
-    b.detect.checkerQueue = dec.getU32();
-    b.policy.kind = AStreamPolicyKind(dec.getU8());
-    b.policy.runaheadTraces = dec.getU32();
-    b.policy.missLines = dec.getU32();
-    b.policy.cooldownTraces = dec.getU32();
-    b.cycleCapPerInst = dec.getU64();
-    b.seedBegin = dec.getU64();
-    b.seedEnd = dec.getU64();
-    return b;
-}
-
-void
-encodeTrialResult(wire::Encoder &enc, const TrialResultMsg &m)
-{
-    enc.putU64(m.batchId);
-    enc.putU64(m.index);
-    enc.putBool(m.fromCache);
-    enc.putString(m.line);
-}
-
-TrialResultMsg
-decodeTrialResult(wire::Decoder &dec)
-{
-    TrialResultMsg m;
-    m.batchId = dec.getU64();
-    m.index = dec.getU64();
-    m.fromCache = dec.getBool();
-    m.line = dec.getString();
-    return m;
-}
-
-void
-encodeBatchDone(wire::Encoder &enc, const BatchDoneMsg &m)
-{
-    enc.putU64(m.batchId);
-    enc.putU8(uint8_t(m.status));
-    enc.putU64(m.completed);
-    enc.putU64(m.revoked);
-    enc.putU64(m.cacheHits);
-    enc.putU64(m.cacheMisses);
-    enc.putString(m.error);
-}
-
-BatchDoneMsg
-decodeBatchDone(wire::Decoder &dec)
-{
-    BatchDoneMsg m;
-    m.batchId = dec.getU64();
-    m.status = BatchStatus(dec.getU8());
-    m.completed = dec.getU64();
-    m.revoked = dec.getU64();
-    m.cacheHits = dec.getU64();
-    m.cacheMisses = dec.getU64();
-    m.error = dec.getString();
-    return m;
-}
-
-void
-encodeServeStats(wire::Encoder &enc, const ServeStats &s)
-{
-    enc.putU64(s.connections);
-    enc.putU64(s.batches);
-    enc.putU64(s.trialsRun);
-    enc.putU64(s.trialsCached);
-    enc.putU64(s.trialsRevoked);
-    enc.putU64(s.cacheHits);
-    enc.putU64(s.cacheMisses);
-    enc.putU64(s.cacheStores);
-    enc.putU64(s.cacheEvictions);
-    enc.putBool(s.draining);
-}
-
-ServeStats
-decodeServeStats(wire::Decoder &dec)
-{
-    ServeStats s;
-    s.connections = dec.getU64();
-    s.batches = dec.getU64();
-    s.trialsRun = dec.getU64();
-    s.trialsCached = dec.getU64();
-    s.trialsRevoked = dec.getU64();
-    s.cacheHits = dec.getU64();
-    s.cacheMisses = dec.getU64();
-    s.cacheStores = dec.getU64();
-    s.cacheEvictions = dec.getU64();
-    s.draining = dec.getBool();
-    return s;
 }
 
 // ---------------------------------------------------------------------

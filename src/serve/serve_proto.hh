@@ -37,6 +37,7 @@
 
 #include "detect/detect_params.hh"
 #include "harness/fault_campaign.hh"
+#include "harness/schema.hh"
 #include "harness/wire.hh"
 #include "slipstream/fault_injector.hh"
 #include "workloads/workloads.hh"
@@ -51,6 +52,8 @@ enum class BatchKind : uint8_t
     Fuzz = 1,     // differential-fuzz seed window
     Bench = 2,    // fault-free performance sweep (zero-fault trials)
 };
+
+inline constexpr unsigned kNumBatchKinds = 3;
 
 /** "campaign", "fuzz", "bench". */
 const char *batchKindName(BatchKind kind);
@@ -91,8 +94,27 @@ struct BatchRequest
     FaultCampaignConfig toCampaignConfig() const;
 };
 
-void encodeBatchRequest(wire::Encoder &enc, const BatchRequest &b);
-BatchRequest decodeBatchRequest(wire::Decoder &dec);
+template <Is<BatchRequest> S, class V>
+void
+fields(S &b, V &&v)
+{
+    v("kind", b.kind);
+    v("id", b.id);
+    v("name", b.name);
+    v("workloads", b.workloads);
+    v("size", b.size);
+    v("trials_per_workload", b.trialsPerWorkload);
+    v("min_faults", b.minFaultsPerTrial);
+    v("max_faults", b.maxFaultsPerTrial);
+    v("seed", b.seed);
+    v("reliable", b.reliableMode);
+    v("targets", b.targets);
+    v("detect", b.detect);
+    v("policy", b.policy);
+    v("cycle_cap_per_inst", b.cycleCapPerInst);
+    v("seed_begin", b.seedBegin);
+    v("seed_end", b.seedEnd);
+}
 
 /** One finished trial, streamed as it completes. */
 struct TrialResultMsg
@@ -103,8 +125,15 @@ struct TrialResultMsg
     std::string line;       // canonical JSONL bytes (no newline)
 };
 
-void encodeTrialResult(wire::Encoder &enc, const TrialResultMsg &m);
-TrialResultMsg decodeTrialResult(wire::Decoder &dec);
+template <Is<TrialResultMsg> S, class V>
+void
+fields(S &m, V &&v)
+{
+    v("batch_id", m.batchId);
+    v("index", m.index);
+    v("from_cache", m.fromCache);
+    v("line", m.line);
+}
 
 /** How a batch ended. */
 enum class BatchStatus : uint8_t
@@ -115,8 +144,24 @@ enum class BatchStatus : uint8_t
     Error = 3,     // server-side failure (message in `error`)
 };
 
+inline constexpr unsigned kNumBatchStatuses = 4;
+
 /** "ok", "cancelled", "rejected", "error". */
 const char *batchStatusName(BatchStatus status);
+
+} // namespace slip::serve
+
+template <>
+inline constexpr slip::EnumInfo<slip::serve::BatchKind>
+    slip::kEnumInfo<slip::serve::BatchKind>{slip::serve::kNumBatchKinds,
+                                            slip::serve::batchKindName};
+template <>
+inline constexpr slip::EnumInfo<slip::serve::BatchStatus>
+    slip::kEnumInfo<slip::serve::BatchStatus>{
+        slip::serve::kNumBatchStatuses, slip::serve::batchStatusName};
+
+namespace slip::serve
+{
 
 /** Batch summary, always the last frame of a batch. */
 struct BatchDoneMsg
@@ -130,8 +175,18 @@ struct BatchDoneMsg
     std::string error;
 };
 
-void encodeBatchDone(wire::Encoder &enc, const BatchDoneMsg &m);
-BatchDoneMsg decodeBatchDone(wire::Decoder &dec);
+template <Is<BatchDoneMsg> S, class V>
+void
+fields(S &m, V &&v)
+{
+    v("batch_id", m.batchId);
+    v("status", m.status);
+    v("completed", m.completed);
+    v("revoked", m.revoked);
+    v("cache_hits", m.cacheHits);
+    v("cache_misses", m.cacheMisses);
+    v("error", m.error);
+}
 
 /** Server-lifetime counters (StatsReply payload). */
 struct ServeStats
@@ -148,8 +203,21 @@ struct ServeStats
     bool draining = false;
 };
 
-void encodeServeStats(wire::Encoder &enc, const ServeStats &s);
-ServeStats decodeServeStats(wire::Decoder &dec);
+template <Is<ServeStats> S, class V>
+void
+fields(S &s, V &&v)
+{
+    v("connections", s.connections);
+    v("batches", s.batches);
+    v("trials_run", s.trialsRun);
+    v("trials_cached", s.trialsCached);
+    v("trials_revoked", s.trialsRevoked);
+    v("cache_hits", s.cacheHits);
+    v("cache_misses", s.cacheMisses);
+    v("cache_stores", s.cacheStores);
+    v("cache_evictions", s.cacheEvictions);
+    v("draining", s.draining);
+}
 
 // ---------------------------------------------------------------------
 // Handshake.

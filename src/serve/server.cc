@@ -39,10 +39,14 @@ pollReadable(int fd, int timeoutMs)
 bool
 sendTrialResult(int fd, const TrialResultMsg &m)
 {
-    wire::Encoder enc;
-    encodeTrialResult(enc, m);
     return wire::writeFrame(fd, wire::MsgType::TrialResult,
-                            enc.bytes());
+                            schema::encode(m));
+}
+
+void
+sendBatchDone(int fd, const BatchDoneMsg &m)
+{
+    wire::writeFrame(fd, wire::MsgType::BatchDone, schema::encode(m));
 }
 
 /**
@@ -75,38 +79,36 @@ planBenchTrials(const FaultCampaignConfig &cfg)
     return specs;
 }
 
-/** Canonical key bytes of one fuzz trial (see result_cache.hh). */
-CacheKey
+/** The key of one fuzz trial (see result_cache.hh). */
+TrialKey
 fuzzTrialKey(const BatchRequest &req, uint64_t seed,
              const std::string &source)
 {
     wire::Encoder enc;
-    enc.putU16(wire::kVersion);
+    enc.putU32(kResultsVersion);
     enc.putString("fuzz");
     enc.putString(req.name);
     enc.putU64(seed);
     // The rendered source is the generator's identity: a generator
     // change produces different text and silently misses.
     enc.putString(source);
-    return cacheKeyOf(enc.bytes());
+    return keyOf(enc.bytes());
 }
 
 /** One fuzz seed as a canonical JSONL line (no newline). */
 std::string
 fuzzTrialLine(const BatchRequest &req, uint64_t seed,
-              const JobOutcome &o)
+              const TrialKey &key, const JobOutcome &o)
 {
-    std::string line = "{\"campaign\":\"" + req.name +
-                       "\",\"kind\":\"fuzz\",\"seed\":" +
-                       std::to_string(seed);
-    line += ",\"status\":\"";
-    line += jobStatusName(o.status);
-    line += "\"";
+    schema::JsonWriter w;
+    w("campaign", req.name);
+    w("kind", std::string("fuzz"));
+    w("seed", seed);
+    w("key", key);
+    w("status", o.status);
     if (o.status == JobOutcome::Status::Ok)
-        line += std::string(",\"diverged\":") +
-                (o.metrics.outputCorrect ? "0" : "1");
-    line += "}";
-    return line;
+        w("diverged", !o.metrics.outputCorrect);
+    return w.line();
 }
 
 } // namespace
@@ -234,10 +236,25 @@ Server::serveConnection(int fd, uint64_t connId)
 {
     SLIP_TRACE(obs::Category::Serve, obs::Name::ClientConnect,
                obs::Phase::Instant, connId, 0);
+    // A malformed frame from one client costs that client, never the
+    // daemon: an exception escaping this thread would end the process.
+    try {
+        serveFrames(fd, connId);
+    } catch (const std::exception &e) {
+        SLIP_INFORM("slipd: closing connection ", connId, ": ",
+                    e.what());
+    }
+    SLIP_TRACE(obs::Category::Serve, obs::Name::ClientDisconnect,
+               obs::Phase::Instant, connId, 0);
+    ::close(fd);
+}
+
+void
+Server::serveFrames(int fd, uint64_t connId)
+{
     std::string clientName, err;
     if (!serverHandshake(fd, opts_.name, clientName, err)) {
         SLIP_INFORM("slipd: refused connection ", connId, ": ", err);
-        ::close(fd);
         return;
     }
 
@@ -245,32 +262,38 @@ Server::serveConnection(int fd, uint64_t connId)
         // Poll with a timeout so an idle connection notices stop().
         if (!pollReadable(fd, 200)) {
             if (stopping_.load())
-                break;
+                return;
             continue;
         }
         wire::MsgType type;
         std::string payload;
-        const wire::ReadResult r = wire::readFrame(fd, type, payload);
-        if (r != wire::ReadResult::Ok)
-            break;
+        if (wire::readFrame(fd, type, payload) != wire::ReadResult::Ok)
+            return;
         switch (type) {
           case wire::MsgType::BatchRequest: {
-            wire::Decoder dec(payload);
-            handleBatch(fd, decodeBatchRequest(dec));
+            BatchRequest req;
+            try {
+                req = schema::decode<BatchRequest>(payload);
+            } catch (const FatalError &e) {
+                // Well framed, badly encoded: answer it, keep serving.
+                BatchDoneMsg done;
+                done.status = BatchStatus::Error;
+                done.error = std::string("malformed batch request: ") +
+                             e.what();
+                sendBatchDone(fd, done);
+                break;
+            }
+            handleBatch(fd, req);
             break;
           }
-          case wire::MsgType::StatsRequest: {
-            wire::Encoder enc;
-            encodeServeStats(enc, statsSnapshot());
+          case wire::MsgType::StatsRequest:
             wire::writeFrame(fd, wire::MsgType::StatsReply,
-                             enc.bytes());
+                             schema::encode(statsSnapshot()));
             break;
-          }
-          case wire::MsgType::DrainRequest: {
+          case wire::MsgType::DrainRequest:
             beginDrain();
             wire::writeFrame(fd, wire::MsgType::DrainAck, {});
             break;
-          }
           case wire::MsgType::CancelBatch:
             // No batch in flight on this connection: stale cancel.
             break;
@@ -278,13 +301,9 @@ Server::serveConnection(int fd, uint64_t connId)
             SLIP_INFORM("slipd: connection ", connId,
                         " sent unexpected frame type ",
                         unsigned(type), "; closing");
-            ::close(fd);
             return;
         }
     }
-    SLIP_TRACE(obs::Category::Serve, obs::Name::ClientDisconnect,
-               obs::Phase::Instant, connId, 0);
-    ::close(fd);
 }
 
 void
@@ -297,9 +316,7 @@ Server::handleBatch(int fd, const BatchRequest &req)
         done.status = BatchStatus::Rejected;
         done.error = "server is draining; submit to another instance "
                      "or retry after restart";
-        wire::Encoder enc;
-        encodeBatchDone(enc, done);
-        wire::writeFrame(fd, wire::MsgType::BatchDone, enc.bytes());
+        sendBatchDone(fd, done);
         return;
     }
 
@@ -322,9 +339,9 @@ Server::handleBatch(int fd, const BatchRequest &req)
             const std::vector<CampaignTrialSpec> &specs, size_t lo,
             size_t hi) {
             std::vector<size_t> missIdx;
-            std::vector<CacheKey> missKey;
+            std::vector<TrialKey> missKey;
             for (size_t i = lo; i < hi; ++i) {
-                const CacheKey key =
+                const TrialKey key =
                     campaignTrialKey(cfg, specs[i], i);
                 std::string line;
                 if (cache_->lookup(key, line)) {
@@ -382,11 +399,9 @@ Server::handleBatch(int fd, const BatchRequest &req)
                 clientGone = true;
                 return;
             }
-            if (type == wire::MsgType::CancelBatch) {
-                wire::Decoder dec(payload);
-                if (dec.getU64() == req.id)
-                    cancelled = true;
-            }
+            if (type == wire::MsgType::CancelBatch &&
+                schema::decode<uint64_t>(payload) == req.id)
+                cancelled = true;
         }
     };
 
@@ -431,11 +446,11 @@ Server::handleBatch(int fd, const BatchRequest &req)
                 // cache identity and the job input.
                 std::vector<uint64_t> seeds;
                 std::vector<std::string> sources;
-                std::vector<CacheKey> keys;
+                std::vector<TrialKey> keys;
                 for (uint64_t s = next; s < hi; ++s) {
                     const std::string src =
                         fuzz::generate(s).render();
-                    const CacheKey key = fuzzTrialKey(req, s, src);
+                    const TrialKey key = fuzzTrialKey(req, s, src);
                     std::string line;
                     if (cache_->lookup(key, line)) {
                         if (!sendTrialResult(
@@ -473,7 +488,7 @@ Server::handleBatch(int fd, const BatchRequest &req)
                                              const JobOutcome &o) {
                         const uint64_t s = seeds[job];
                         const std::string line =
-                            fuzzTrialLine(req, s, o);
+                            fuzzTrialLine(req, s, keys[job], o);
                         cache_->store(keys[job], line);
                         if (!sendTrialResult(
                                 fd, {req.id, s - req.seedBegin,
@@ -520,11 +535,8 @@ Server::handleBatch(int fd, const BatchRequest &req)
     SLIP_TRACE(obs::Category::Serve, obs::Name::BatchSpan,
                obs::Phase::End, req.id, done.completed);
 
-    if (!clientGone) {
-        wire::Encoder enc;
-        encodeBatchDone(enc, done);
-        wire::writeFrame(fd, wire::MsgType::BatchDone, enc.bytes());
-    }
+    if (!clientGone)
+        sendBatchDone(fd, done);
 }
 
 void

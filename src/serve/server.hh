@@ -115,6 +115,8 @@ class Server
   private:
     void acceptLoop();
     void serveConnection(int fd, uint64_t connId);
+    /** The Hello exchange, then frames until EOF or stop(). */
+    void serveFrames(int fd, uint64_t connId);
     void handleBatch(int fd, const BatchRequest &req);
 
     ServerOptions opts_;

@@ -78,6 +78,8 @@ enum class FaultTarget : uint8_t
     AStreamStall,      // A-stream front end wedges (watchdog territory)
 };
 
+inline constexpr unsigned kNumFaultTargets = 8;
+
 /** "a_stream", "r_pipeline", ... (report keys). */
 const char *faultTargetName(FaultTarget target);
 

@@ -47,6 +47,8 @@ enum class WorkloadSize
     Default, // a few million (paper-style evaluation)
 };
 
+inline constexpr unsigned kNumWorkloadSizes = 3;
+
 /** "test" / "small" / "default" — cache keys and $SLIPSTREAM_BENCH_SIZE. */
 const char *sizeName(WorkloadSize size);
 

@@ -5,6 +5,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/logging.hh"
 #include "harness/fault_campaign.hh"
 
 namespace slip
@@ -163,15 +164,96 @@ TEST(FaultCampaign, ReportFailureWarnsInsteadOfThrowing)
 
 TEST(FaultCampaign, OutcomeNamesRoundTripThroughTheJournal)
 {
+    const FaultCampaignConfig cfg = smallConfig();
+    std::string campaign;
+    uint64_t seed = 0, trial = 0;
     for (unsigned o = 0; o < kNumTrialOutcomes; ++o) {
-        TrialOutcome parsed;
-        ASSERT_TRUE(trialOutcomeFromName(
-            trialOutcomeName(TrialOutcome(o)), parsed));
-        EXPECT_EQ(parsed, TrialOutcome(o));
+        TrialRecord t;
+        t.outcome = TrialOutcome(o);
+        const std::string line = campaignTrialLine(cfg, 3, t);
+        EXPECT_NE(line.find(std::string("\"outcome\":\"") +
+                            trialOutcomeName(t.outcome) + "\""),
+                  std::string::npos)
+            << line;
+        TrialRecord back;
+        ASSERT_TRUE(readCampaignTrialLine(line, campaign, seed, trial,
+                                          back))
+            << line;
+        EXPECT_EQ(back.outcome, t.outcome);
+        EXPECT_EQ(trial, 3u);
     }
-    TrialOutcome dummy;
-    EXPECT_FALSE(trialOutcomeFromName("not_an_outcome", dummy));
-    EXPECT_FALSE(trialOutcomeFromName("", dummy));
+    TrialRecord unknown;
+    std::string line = campaignTrialLine(cfg, 0, unknown);
+    const std::string name = trialOutcomeName(unknown.outcome);
+    line.replace(line.find(name), name.size(), "not_an_outcome");
+    EXPECT_FALSE(readCampaignTrialLine(line, campaign, seed, trial,
+                                       unknown));
+}
+
+/** Every journaled field comes back exactly, u64s included. */
+TEST(FaultCampaign, JournalLineRoundTripsEveryField)
+{
+    FaultCampaignConfig cfg = smallConfig();
+    cfg.name = "odd \"name\"\\";
+    cfg.seed = ~uint64_t(0);
+    TrialRecord t;
+    t.key = {0x0123456789abcdefULL, 0xfedcba9876543210ULL};
+    t.workload = "li";
+    t.outcome = TrialOutcome::Crashed;
+    t.faultsPlanned = 3;
+    t.faultsInjected = 2;
+    t.faultsDetected = 1;
+    t.degraded = true;
+    t.latencySamples = 1;
+    t.latencyTotal = ~uint64_t(0) - 1;
+    t.latencyMax = 99;
+    t.latencyByTarget["a_stream"].sample(40);
+    t.latencyByTarget["r_pipeline"].sample(1u << 20);
+    t.cycles = 123456789012345ULL;
+    t.detectBackend = "replay";
+    t.detectChecked = 7;
+    t.detectMismatches = 8;
+    t.detectExternal = 9;
+    t.detectReplays = 10;
+    t.detectReplayedInsts = 11;
+    t.detectOverhead = 12;
+    t.aStreamPolicy = "runahead";
+    t.error = "line\nbreak \"quoted\"";
+    t.crashSignal = 11;
+    t.crashExit = -1;
+    t.crashPhase = "run";
+    const std::string line = campaignTrialLine(cfg, 5, t);
+
+    std::string campaign;
+    uint64_t seed = 0, trial = 0;
+    TrialRecord back;
+    ASSERT_TRUE(readCampaignTrialLine(line, campaign, seed, trial, back))
+        << line;
+    EXPECT_EQ(campaign, cfg.name);
+    EXPECT_EQ(seed, cfg.seed);
+    EXPECT_EQ(trial, 5u);
+    EXPECT_EQ(campaignTrialLine(cfg, 5, back), line);
+    EXPECT_EQ(back.key, t.key);
+    EXPECT_EQ(back.latencyTotal, t.latencyTotal);
+    EXPECT_EQ(back.crashExit, -1);
+    EXPECT_EQ(back.error, t.error);
+
+    // Healthy trials omit the triage group entirely.
+    TrialRecord healthy = t;
+    healthy.crashPhase.clear();
+    const std::string short_ = campaignTrialLine(cfg, 5, healthy);
+    EXPECT_EQ(short_.find("\"signal\""), std::string::npos);
+    TrialRecord healthyBack;
+    ASSERT_TRUE(readCampaignTrialLine(short_, campaign, seed, trial,
+                                      healthyBack));
+    EXPECT_TRUE(healthyBack.crashPhase.empty());
+    EXPECT_EQ(campaignTrialLine(cfg, 5, healthyBack), short_);
+
+    // A torn line never half-parses.
+    for (size_t cut = 1; cut < line.size(); cut += 7)
+        EXPECT_FALSE(readCampaignTrialLine(line.substr(0, cut), campaign,
+                                           seed, trial, back))
+            << cut;
 }
 
 /**
@@ -382,6 +464,40 @@ TEST(FaultCampaign, ResumeIgnoresForeignJournalEntries)
 }
 
 /**
+ * Resume matches a journal line on the trial's whole identity, not on
+ * its name, seed and index: a journal written at `test` size, resumed
+ * at `small`, shares every one of those but must re-run every trial
+ * and report exactly what a fresh `small` campaign reports.
+ */
+TEST(FaultCampaign, ResumeAtAnotherSizeReRunsEveryTrial)
+{
+    FaultCampaignConfig cfg = smallConfig();
+    cfg.name = "resume_cross_size";
+    cfg.workloads = {"compress"};
+    cfg.trialsPerWorkload = 2;
+    cfg.size = WorkloadSize::Test;
+    cfg.journalPath = "test_fault_campaign.cross_size.jsonl";
+    runFaultCampaign(cfg);
+
+    FaultCampaignConfig fresh = cfg;
+    fresh.size = WorkloadSize::Small;
+    fresh.journalPath = "test_fault_campaign.cross_size_fresh.jsonl";
+    const std::string expected =
+        campaignJson(fresh, runFaultCampaign(fresh));
+
+    FaultCampaignConfig again = fresh;
+    again.journalPath = cfg.journalPath;
+    again.resume = true;
+    const FaultCampaignResult resumed = runFaultCampaign(again);
+    EXPECT_EQ(campaignJson(again, resumed), expected);
+    // Only trials executed in this process carry metrics.
+    for (const TrialRecord &t : resumed.trials)
+        EXPECT_GT(t.metrics.retired, 0u) << "adopted a test-size line";
+    std::remove(cfg.journalPath.c_str());
+    std::remove(fresh.journalPath.c_str());
+}
+
+/**
  * The policy matrix: for every A-stream shortening policy, the
  * campaign journal must come out byte-identical across worker counts
  * AND isolation modes. A policy that consulted wall-clock, worker
@@ -437,11 +553,34 @@ TEST(FaultCampaign, PolicyMatrixJournalsAreByteIdentical)
     std::remove(journal.c_str());
 }
 
+/** The journal lines of a finished campaign. */
+std::vector<std::string>
+journalLines(const std::string &path)
+{
+    std::vector<std::string> lines;
+    std::ifstream in(path);
+    std::string line;
+    while (std::getline(in, line))
+        if (!line.empty())
+            lines.push_back(line);
+    return lines;
+}
+
+/** `line` with its outcome replaced. */
+std::string
+withOutcome(std::string line, const std::string &outcome)
+{
+    const std::string key = "\"outcome\":\"";
+    const size_t at = line.find(key) + key.size();
+    line.replace(at, line.find('"', at) - at, outcome);
+    return line;
+}
+
 /**
  * A journal written under one A-stream policy must never satisfy a
- * resume under another (the PR-8 backend-tag contract extended to
- * policies): trial dynamics differ per policy, so adopting a foreign
- * record would report results the configuration never produced.
+ * resume under another, even under the same campaign name and seed:
+ * trial dynamics differ per policy, so adopting a foreign record
+ * would report results the configuration never produced.
  */
 TEST(FaultCampaign, ResumeRejectsForeignPolicyJournal)
 {
@@ -451,102 +590,76 @@ TEST(FaultCampaign, ResumeRejectsForeignPolicyJournal)
     cfg.trialsPerWorkload = 2;
     cfg.journalPath = "test_fault_campaign.policy_foreign.jsonl";
     cfg.params.aPolicy.kind = AStreamPolicyKind::Runahead;
-
     const FaultCampaignResult fresh = runFaultCampaign(cfg);
     const std::string expected = campaignJson(cfg, fresh);
-    std::vector<std::string> lines;
-    {
-        std::ifstream in(cfg.journalPath);
-        std::string line;
-        while (std::getline(in, line))
-            if (!line.empty())
-                lines.push_back(line);
-    }
-    ASSERT_EQ(lines.size(), fresh.trials.size());
 
-    // Poison trial 0's record: flip its policy tag to `ir` and its
-    // outcome to `crashed`. If resume matched it despite the foreign
-    // tag, the bogus outcome would land in the report.
-    std::string foreign = lines[0];
-    const size_t tagAt = foreign.find("\"policy\":\"runahead\"");
-    ASSERT_NE(tagAt, std::string::npos);
-    foreign.replace(tagAt, std::string("\"policy\":\"runahead\"").size(),
-                    "\"policy\":\"ir\"");
-    const std::string outKey = "\"outcome\":\"";
-    const size_t outAt = foreign.find(outKey);
-    ASSERT_NE(outAt, std::string::npos);
-    const size_t outEnd = foreign.find('"', outAt + outKey.size());
-    foreign.replace(outAt + outKey.size(),
-                    outEnd - (outAt + outKey.size()), "crashed");
-    // A second poison line with no policy tag at all: legacy journals
-    // are only sound for the paper's default (ir) policy, so a
-    // runahead resume must re-run this trial too.
-    std::string legacy = lines[1];
-    const size_t legacyTag = legacy.find(",\"policy\":\"runahead\"");
-    ASSERT_NE(legacyTag, std::string::npos);
-    legacy.erase(legacyTag,
-                 std::string(",\"policy\":\"runahead\"").size());
+    // The same campaign under `ir`, its trial 0 tampered to `crashed`:
+    // if resume adopted it, the bogus outcome would land in the report.
+    FaultCampaignConfig ir = cfg;
+    ir.params.aPolicy.kind = AStreamPolicyKind::IRRemoval;
+    ir.journalPath = "test_fault_campaign.policy_ir.jsonl";
+    runFaultCampaign(ir);
+    const std::vector<std::string> irLines = journalLines(ir.journalPath);
+    ASSERT_EQ(irLines.size(), fresh.trials.size());
     {
         std::ofstream out(cfg.journalPath, std::ios::trunc);
-        out << foreign << '\n' << legacy << '\n';
+        out << withOutcome(irLines[0], "crashed") << '\n'
+            << irLines[1] << '\n';
     }
 
     FaultCampaignConfig again = cfg;
     again.resume = true;
+    setLogQuiet(true); // the skipped-lines warning is expected
     const FaultCampaignResult resumed = runFaultCampaign(again);
+    setLogQuiet(false);
     EXPECT_EQ(campaignJson(again, resumed), expected);
     EXPECT_EQ(resumed.total.outcomes(TrialOutcome::Crashed), 0u);
     std::remove(cfg.journalPath.c_str());
+    std::remove(ir.journalPath.c_str());
 }
 
 /**
- * The flip side of the legacy-journal rule: a pre-policy journal line
- * (no `policy` field) IS adopted by an `ir` resume — those journals
- * were written by the default configuration and remain sound for it.
+ * A line without a key (a journal from before lines carried one) is
+ * never adopted: resume re-runs its trial, fails closed, and still
+ * renders the report byte for byte.
  */
-TEST(FaultCampaign, ResumeAdoptsLegacyJournalForDefaultPolicy)
+TEST(FaultCampaign, ResumeReRunsKeylessLines)
 {
     FaultCampaignConfig cfg = smallConfig();
-    cfg.name = "resume_policy_legacy";
+    cfg.name = "resume_keyless";
     cfg.workloads = {"m88ksim"};
     cfg.trialsPerWorkload = 2;
-    cfg.journalPath = "test_fault_campaign.policy_legacy.jsonl";
+    cfg.journalPath = "test_fault_campaign.keyless.jsonl";
 
     const FaultCampaignResult fresh = runFaultCampaign(cfg);
+    const std::string expected = campaignJson(cfg, fresh);
     ASSERT_NE(fresh.trials[0].outcome, TrialOutcome::TimedOut);
-    std::vector<std::string> lines;
-    {
-        std::ifstream in(cfg.journalPath);
-        std::string line;
-        while (std::getline(in, line))
-            if (!line.empty())
-                lines.push_back(line);
-    }
+    const std::vector<std::string> lines = journalLines(cfg.journalPath);
     ASSERT_EQ(lines.size(), fresh.trials.size());
 
-    // Strip the policy tag and tamper the outcome into a terminal
-    // timeout: if the legacy line is adopted (it must be), the
-    // timeout is restored rather than the trial re-run.
-    std::string legacy = lines[0];
-    const size_t tagAt = legacy.find(",\"policy\":\"ir\"");
-    ASSERT_NE(tagAt, std::string::npos);
-    legacy.erase(tagAt, std::string(",\"policy\":\"ir\"").size());
-    const std::string outKey = "\"outcome\":\"";
-    const size_t outAt = legacy.find(outKey);
-    ASSERT_NE(outAt, std::string::npos);
-    const size_t outEnd = legacy.find('"', outAt + outKey.size());
-    legacy.replace(outAt + outKey.size(),
-                   outEnd - (outAt + outKey.size()), "timed_out");
+    // Strip trial 0's key and tamper it into a terminal timeout: if
+    // the keyless line were adopted, the timeout would be restored.
+    std::string keyless = withOutcome(lines[0], "timed_out");
+    const size_t at = keyless.find(",\"key\":\"");
+    ASSERT_NE(at, std::string::npos);
+    keyless.erase(at, std::string(",\"key\":\"\"").size() + 32);
+    ASSERT_EQ(keyless.find("\"key\""), std::string::npos);
     {
         std::ofstream out(cfg.journalPath, std::ios::trunc);
-        out << legacy << '\n';
+        out << keyless << '\n' << lines[1] << '\n';
     }
 
     FaultCampaignConfig again = cfg;
     again.resume = true;
+    setLogQuiet(true);
     const FaultCampaignResult resumed = runFaultCampaign(again);
-    ASSERT_EQ(resumed.trials.size(), fresh.trials.size());
-    EXPECT_EQ(resumed.trials[0].outcome, TrialOutcome::TimedOut);
+    setLogQuiet(false);
+    EXPECT_EQ(campaignJson(again, resumed), expected);
+    ASSERT_EQ(resumed.trials.size(), 2u);
+    EXPECT_NE(resumed.trials[0].outcome, TrialOutcome::TimedOut);
+    // Trial 0 re-ran here; trial 1 was adopted (no metrics).
+    EXPECT_GT(resumed.trials[0].metrics.retired, 0u);
+    EXPECT_EQ(resumed.trials[1].metrics.retired, 0u);
     std::remove(cfg.journalPath.c_str());
 }
 

@@ -11,18 +11,22 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include "common/cancel.hh"
 #include "harness/fault_campaign.hh"
 #include "harness/sim_runner.hh"
+#include "harness/schema.hh"
 #include "harness/wire.hh"
 #include "serve/client.hh"
 #include "serve/result_cache.hh"
@@ -57,11 +61,18 @@ struct ScratchDir
 // Result cache.
 // ---------------------------------------------------------------------
 
+/** A cacheable line: any flat JSONL object carrying its key. */
+std::string
+lineFor(const TrialKey &key, const std::string &body)
+{
+    return "{\"key\":\"" + key.hex() + "\",\"body\":\"" + body + "\"}";
+}
+
 TEST(ResultCache, KeyIsStableAndContentSensitive)
 {
-    const CacheKey a = cacheKeyOf("trial-bytes");
-    const CacheKey b = cacheKeyOf("trial-bytes");
-    const CacheKey c = cacheKeyOf("trial-byteS");
+    const TrialKey a = keyOf("trial-bytes");
+    const TrialKey b = keyOf("trial-bytes");
+    const TrialKey c = keyOf("trial-byteS");
     EXPECT_EQ(a, b);
     EXPECT_FALSE(a == c);
     EXPECT_EQ(a.hex().size(), 32u);
@@ -72,15 +83,15 @@ TEST(ResultCache, StoreThenLookupRoundTrips)
 {
     ScratchDir dir;
     ResultCache cache(dir.path + "/cache", 100);
-    const CacheKey key = cacheKeyOf("k1");
+    const TrialKey key = keyOf("k1");
 
     std::string line;
     EXPECT_FALSE(cache.lookup(key, line));
     EXPECT_EQ(cache.misses(), 1u);
 
-    cache.store(key, "{\"trial\":0}");
+    cache.store(key, lineFor(key, "trial 0"));
     EXPECT_TRUE(cache.lookup(key, line));
-    EXPECT_EQ(line, "{\"trial\":0}");
+    EXPECT_EQ(line, lineFor(key, "trial 0"));
     EXPECT_EQ(cache.hits(), 1u);
     EXPECT_EQ(cache.stores(), 1u);
 }
@@ -88,24 +99,25 @@ TEST(ResultCache, StoreThenLookupRoundTrips)
 TEST(ResultCache, PersistsAcrossInstances)
 {
     ScratchDir dir;
-    const CacheKey key = cacheKeyOf("survives-restart");
+    const TrialKey key = keyOf("survives-restart");
     {
         ResultCache cache(dir.path + "/cache", 100);
-        cache.store(key, "line-bytes");
+        cache.store(key, lineFor(key, "line-bytes"));
     }
     ResultCache reopened(dir.path + "/cache", 100);
     std::string line;
     EXPECT_TRUE(reopened.lookup(key, line));
-    EXPECT_EQ(line, "line-bytes");
+    EXPECT_EQ(line, lineFor(key, "line-bytes"));
 }
 
 TEST(ResultCache, EvictsOldestWhenOverCap)
 {
     ScratchDir dir;
     ResultCache cache(dir.path + "/cache", 16);
-    for (int i = 0; i < 32; ++i)
-        cache.store(cacheKeyOf("entry-" + std::to_string(i)),
-                    "line-" + std::to_string(i));
+    for (int i = 0; i < 32; ++i) {
+        const TrialKey key = keyOf("entry-" + std::to_string(i));
+        cache.store(key, lineFor(key, "line-" + std::to_string(i)));
+    }
     EXPECT_GT(cache.evictions(), 0u);
     EXPECT_LE(cache.entries(), 16u);
 }
@@ -114,11 +126,34 @@ TEST(ResultCache, EmptyRootDisablesEverything)
 {
     ResultCache cache("", 100);
     EXPECT_FALSE(cache.enabled());
-    const CacheKey key = cacheKeyOf("k");
-    cache.store(key, "line");
+    const TrialKey key = keyOf("k");
+    cache.store(key, lineFor(key, "line"));
     std::string line;
     EXPECT_FALSE(cache.lookup(key, line));
     EXPECT_EQ(cache.stores(), 0u);
+}
+
+TEST(ResultCache, HitMustProveItsKey)
+{
+    // An entry is only as good as the key inside it: a line without
+    // one, a line naming another key, and a torn line all miss.
+    ScratchDir dir;
+    ResultCache cache(dir.path + "/cache", 100);
+    const TrialKey key = keyOf("mine");
+    std::string line;
+    for (const std::string &bad :
+         {std::string("{\"body\":\"keyless\"}"),
+          lineFor(keyOf("someone else"), "misfiled"),
+          lineFor(key, "torn").substr(0, 30)}) {
+        cache.store(key, bad);
+        EXPECT_FALSE(cache.lookup(key, line)) << bad;
+    }
+    EXPECT_EQ(cache.hits(), 0u);
+    // Each store replaced the entry in place: still one entry.
+    EXPECT_EQ(cache.entries(), 1u);
+    cache.store(key, lineFor(key, "good"));
+    ASSERT_TRUE(cache.lookup(key, line));
+    EXPECT_EQ(line, lineFor(key, "good"));
 }
 
 TEST(ResultCache, CampaignKeySeparatesSeedTrialAndBackend)
@@ -132,7 +167,7 @@ TEST(ResultCache, CampaignKeySeparatesSeedTrialAndBackend)
         planCampaignTrials(cfg);
     ASSERT_GE(specs.size(), 2u);
 
-    const CacheKey base = campaignTrialKey(cfg, specs[0], 0);
+    const TrialKey base = campaignTrialKey(cfg, specs[0], 0);
     EXPECT_EQ(base, campaignTrialKey(cfg, specs[0], 0));
     EXPECT_FALSE(base == campaignTrialKey(cfg, specs[0], 1));
     EXPECT_FALSE(base == campaignTrialKey(cfg, specs[1], 1));
@@ -165,12 +200,12 @@ TEST(ResultCache, CampaignKeySeparatesAStreamPolicies)
     const std::vector<CampaignTrialSpec> specs =
         planCampaignTrials(cfg);
     ASSERT_GE(specs.size(), 1u);
-    const CacheKey base = campaignTrialKey(cfg, specs[0], 0);
+    const TrialKey base = campaignTrialKey(cfg, specs[0], 0);
 
     // Same program, same seed, different shortening policy: the keys
     // must differ pairwise, or one policy's cached line would answer
     // for another's trial.
-    std::vector<CacheKey> keys;
+    std::vector<TrialKey> keys;
     for (unsigned i = 0; i < kNumAStreamPolicies; ++i) {
         FaultCampaignConfig alt = cfg;
         alt.params.aPolicy.kind = AStreamPolicyKind(i);
@@ -189,13 +224,13 @@ TEST(ResultCache, CampaignKeySeparatesAStreamPolicies)
     // And both policies really do land as two distinct cache entries.
     ScratchDir dir;
     ResultCache cache(dir.path + "/cache", 100);
-    cache.store(keys[0], "line-ir");
-    cache.store(keys[1], "line-runahead");
+    cache.store(keys[0], lineFor(keys[0], "ir"));
+    cache.store(keys[1], lineFor(keys[1], "runahead"));
     std::string line;
     ASSERT_TRUE(cache.lookup(keys[0], line));
-    EXPECT_EQ(line, "line-ir");
+    EXPECT_EQ(line, lineFor(keys[0], "ir"));
     ASSERT_TRUE(cache.lookup(keys[1], line));
-    EXPECT_EQ(line, "line-runahead");
+    EXPECT_EQ(line, lineFor(keys[1], "runahead"));
 }
 
 TEST(ServeProto, BatchRequestRoundTripsPolicyParams)
@@ -210,11 +245,8 @@ TEST(ServeProto, BatchRequestRoundTripsPolicyParams)
     req.policy.missLines = 32;
     req.policy.cooldownTraces = 5;
 
-    wire::Encoder enc;
-    encodeBatchRequest(enc, req);
-    wire::Decoder dec(enc.bytes());
-    const BatchRequest got = decodeBatchRequest(dec);
-    EXPECT_TRUE(dec.atEnd());
+    const BatchRequest got =
+        schema::decode<BatchRequest>(schema::encode(req));
     EXPECT_EQ(got.policy.kind, AStreamPolicyKind::FilteredRunahead);
     EXPECT_EQ(got.policy.runaheadTraces, 9u);
     EXPECT_EQ(got.policy.missLines, 32u);
@@ -491,6 +523,85 @@ TEST_F(ServerFixture, ResubmittedBatchIsServedFromCache)
 
     const ServeStats stats = server->statsSnapshot();
     EXPECT_EQ(stats.trialsCached, second.completed);
+}
+
+TEST_F(ServerFixture, CorruptCacheEntryIsReSimulatedAndHealed)
+{
+    const BatchRequest req = smallBatch();
+    BatchDoneMsg cold;
+    const std::string journal = submit(req, cold);
+    ASSERT_EQ(cold.cacheMisses, cold.completed);
+
+    // Garble one entry on disk, as a torn write or a bad disk would.
+    std::string victim;
+    for (const auto &e : fs::recursive_directory_iterator(opts.cacheDir))
+        if (e.is_regular_file())
+            victim = e.path().string();
+    ASSERT_FALSE(victim.empty());
+    {
+        std::ofstream out(victim, std::ios::trunc);
+        out << "garbage";
+    }
+
+    const uint64_t ranBefore = server->statsSnapshot().trialsRun;
+    BatchDoneMsg warm;
+    EXPECT_EQ(submit(req, warm), journal);
+    EXPECT_EQ(warm.cacheMisses, 1u);
+    EXPECT_EQ(warm.cacheHits, warm.completed - 1);
+    EXPECT_EQ(server->statsSnapshot().trialsRun, ranBefore + 1);
+
+    // The re-simulation replaced the entry: everything hits now.
+    BatchDoneMsg healed;
+    EXPECT_EQ(submit(req, healed), journal);
+    EXPECT_EQ(healed.cacheHits, healed.completed);
+}
+
+/** A raw connection to the fixture's socket. */
+int
+rawConnect(const std::string &path)
+{
+    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    sockaddr_un addr = {};
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+    EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr *>(&addr),
+                        sizeof(addr)),
+              0);
+    return fd;
+}
+
+TEST_F(ServerFixture, MalformedFramesCostTheirClientNotTheDaemon)
+{
+    // A well-framed Hello with an empty payload: the connection is
+    // closed, the daemon lives.
+    const int bad = rawConnect(opts.unixPath);
+    ASSERT_TRUE(wire::writeFrame(bad, wire::MsgType::Hello, ""));
+    wire::MsgType type;
+    std::string payload;
+    EXPECT_NE(wire::readFrame(bad, type, payload), wire::ReadResult::Ok);
+    ::close(bad);
+
+    // A well-framed BatchRequest with an empty payload, after a good
+    // handshake: answered with an Error BatchDone.
+    const int fd = rawConnect(opts.unixPath);
+    std::string err;
+    ASSERT_TRUE(clientHandshake(fd, "malformed", err)) << err;
+    ASSERT_TRUE(wire::writeFrame(fd, wire::MsgType::BatchRequest, ""));
+    ASSERT_EQ(wire::readFrame(fd, type, payload), wire::ReadResult::Ok);
+    ASSERT_EQ(type, wire::MsgType::BatchDone);
+    const BatchDoneMsg done = schema::decode<BatchDoneMsg>(payload);
+    EXPECT_EQ(done.status, BatchStatus::Error);
+    EXPECT_NE(done.error.find("malformed"), std::string::npos)
+        << done.error;
+    ::close(fd);
+
+    // A second client is still served.
+    Client client;
+    ASSERT_TRUE(client.connect(opts.unixPath, err)) << err;
+    ASSERT_TRUE(client.handshake("after", err)) << err;
+    ServeStats stats;
+    ASSERT_TRUE(client.queryStats(stats, err)) << err;
+    EXPECT_GE(stats.connections, 3u);
 }
 
 TEST_F(ServerFixture, TwoPoliciesOnSameProgramDoNotShareCacheEntries)

@@ -7,7 +7,9 @@
 
 #include "common/logging.hh"
 #include "harness/sim_runner.hh"
+#include "harness/schema.hh"
 #include "harness/wire.hh"
+#include "serve/serve_proto.hh"
 
 namespace slip::wire
 {
@@ -21,18 +23,23 @@ TEST(WireEncoder, IntegersRoundTrip)
     enc.putU16(0xbeef);
     enc.putU32(0xdeadbeefu);
     enc.putU64(0x0123456789abcdefull);
-    enc.putI32(-42);
-    enc.putBool(true);
-    enc.putBool(false);
+    schema::encode(enc, int32_t(-42));
+    schema::encode(enc, true);
+    schema::encode(enc, false);
 
     Decoder dec(enc.bytes());
     EXPECT_EQ(dec.getU8(), 0xab);
     EXPECT_EQ(dec.getU16(), 0xbeef);
     EXPECT_EQ(dec.getU32(), 0xdeadbeefu);
     EXPECT_EQ(dec.getU64(), 0x0123456789abcdefull);
-    EXPECT_EQ(dec.getI32(), -42);
-    EXPECT_TRUE(dec.getBool());
-    EXPECT_FALSE(dec.getBool());
+    int32_t i = 0;
+    bool yes = false, no = true;
+    schema::decode(dec, i);
+    schema::decode(dec, yes);
+    schema::decode(dec, no);
+    EXPECT_EQ(i, -42);
+    EXPECT_TRUE(yes);
+    EXPECT_FALSE(no);
     EXPECT_TRUE(dec.atEnd());
 }
 
@@ -318,11 +325,7 @@ expectMetricsEqual(const RunMetrics &a, const RunMetrics &b)
 TEST(WireCodec, RunMetricsRoundTrip)
 {
     const RunMetrics m = sampleMetrics();
-    Encoder enc;
-    encodeRunMetrics(enc, m);
-    Decoder dec(enc.bytes());
-    const RunMetrics back = decodeRunMetrics(dec);
-    EXPECT_TRUE(dec.atEnd());
+    const RunMetrics back = schema::decode<RunMetrics>(schema::encode(m));
     expectMetricsEqual(m, back);
 }
 
@@ -335,11 +338,7 @@ TEST(WireCodec, JobOutcomeRoundTrip)
     o.errorMessage = "allocation failed";
     o.attempts = 3;
 
-    Encoder enc;
-    encodeJobOutcome(enc, o);
-    Decoder dec(enc.bytes());
-    const JobOutcome back = decodeJobOutcome(dec);
-    EXPECT_TRUE(dec.atEnd());
+    const JobOutcome back = schema::decode<JobOutcome>(schema::encode(o));
     EXPECT_EQ(back.status, JobOutcome::Status::Error);
     EXPECT_EQ(back.errorKind, ErrorKind::Resource);
     EXPECT_EQ(back.errorMessage, "allocation failed");
@@ -360,15 +359,201 @@ TEST(WireCodec, CrashTriageFieldsRoundTrip)
     o.poisoned = true;
     o.errorMessage = "worker killed by SIGSEGV";
 
-    Encoder enc;
-    encodeJobOutcome(enc, o);
-    Decoder dec(enc.bytes());
-    const JobOutcome back = decodeJobOutcome(dec);
+    const JobOutcome back = schema::decode<JobOutcome>(schema::encode(o));
     EXPECT_EQ(back.status, JobOutcome::Status::Crashed);
     EXPECT_EQ(back.termSignal, 11);
     EXPECT_EQ(back.crashAddr, 0xdeadbeefu);
     EXPECT_EQ(back.crashPhase, TrialPhase::Run);
     EXPECT_TRUE(back.poisoned);
+}
+
+// ---------------------------------------------------------------------
+// Pinned wire bytes. The codecs may be rewritten, but wire v3's bytes
+// may not change without bumping kVersion: a supervisor and a worker
+// (or slipc and slipd) built from different revisions of the same
+// protocol version must still understand each other.
+// ---------------------------------------------------------------------
+
+std::string
+toHex(const std::string &bytes)
+{
+    static const char digits[] = "0123456789abcdef";
+    std::string out;
+    for (unsigned char c : bytes) {
+        out += digits[c >> 4];
+        out += digits[c & 15];
+    }
+    return out;
+}
+
+TEST(WireGolden, JobOutcomeBytesArePinned)
+{
+    JobOutcome o;
+    o.status = JobOutcome::Status::Crashed;
+    o.metrics = sampleMetrics();
+    o.errorKind = ErrorKind::Resource;
+    o.errorMessage = "oom";
+    o.termSignal = 11;
+    o.termExitCode = -2;
+    o.crashAddr = 0xfeed;
+    o.crashPhase = TrialPhase::Run;
+    o.poisoned = true;
+    o.attempts = 3;
+    EXPECT_EQ(toHex(schema::encode(o)),
+              "030b000000434d50283278363478342940e2010000000000cd810100"
+              "00000000000000000000fc3f0000000000000a400192100000000000"
+              "00000000000000d83f02000000060000006272616e63681100000000"
+              "0000000500000073746f72650300000000000000100000000b000000"
+              "00000000000000000000000000000000000000000000000000000000"
+              "00000000000000000700000000000000000000000000000000000000"
+              "00000000000000000000000000000000000000000000000000000000"
+              "00000000000000000000000000000000000000000000000000000000"
+              "000000000000000000000000000000000000e03f0000000000002940"
+              "0900000000000000000002000000012b020000000000004d01000000"
+              "00000000000000000000000000000000000000000000000000000000"
+              "00000000000000000000000000000000000000000000000000000001"
+              "0101341200000000000002000000020000000100000001000000054d"
+              "000000000000000d0000000501010101002000000000000064000000"
+              "00000000fa0000000000000002030000006f6f6d0b000000feffffff"
+              "edfe000000000000030103000000");
+}
+
+TEST(WireGolden, BatchRequestBytesArePinned)
+{
+    serve::BatchRequest b;
+    b.kind = serve::BatchKind::Bench;
+    b.id = 77;
+    b.name = "golden";
+    b.workloads = {"compress", "li"};
+    b.size = WorkloadSize::Small;
+    b.trialsPerWorkload = 3;
+    b.minFaultsPerTrial = 2;
+    b.maxFaultsPerTrial = 4;
+    b.seed = 12345;
+    b.reliableMode = true;
+    b.targets = {FaultTarget::ARegister, FaultTarget::MemoryCell};
+    b.detect = {DetectBackendKind::Replay, 128, 2, 3, 32};
+    b.policy = {AStreamPolicyKind::Runahead, 5, 16, 2};
+    b.cycleCapPerInst = 12;
+    b.seedBegin = 5;
+    b.seedEnd = 9;
+    EXPECT_EQ(toHex(schema::encode(b)),
+              "024d0000000000000006000000676f6c64656e020000000800000063"
+              "6f6d7072657373020000006c69010300000002000000040000003930"
+              "00000000000001020000000506018000000000000000020000000300"
+              "000020000000010500000010000000020000000c0000000000000005"
+              "000000000000000900000000000000");
+}
+
+TEST(WireGolden, ServeStatsBytesArePinned)
+{
+    serve::ServeStats s;
+    s.connections = 1;
+    s.batches = 2;
+    s.trialsRun = 3;
+    s.trialsCached = 4;
+    s.trialsRevoked = 5;
+    s.cacheHits = 6;
+    s.cacheMisses = 7;
+    s.cacheStores = 8;
+    s.cacheEvictions = 9;
+    s.draining = true;
+    EXPECT_EQ(toHex(schema::encode(s)),
+              "01000000000000000200000000000000030000000000000004000000"
+              "00000000050000000000000006000000000000000700000000000000"
+              "0800000000000000090000000000000001");
+}
+
+// ---------------------------------------------------------------------
+// Enums fail closed: a value at or past an enum's count is fatal,
+// never a silent cast (WorkloadSize(7) used to run as `default`).
+// ---------------------------------------------------------------------
+
+template <class E>
+void
+expectEnumRangeChecked(unsigned count)
+{
+    EXPECT_EQ(schema::decode<E>(std::string(1, char(count - 1))),
+              E(count - 1));
+    EXPECT_THROW(schema::decode<E>(std::string(1, char(count))),
+                 FatalError);
+    EXPECT_THROW(schema::decode<E>(std::string(1, char(0xff))),
+                 FatalError);
+}
+
+TEST(WireEnum, FaultTargetIsRangeChecked)
+{
+    expectEnumRangeChecked<FaultTarget>(8);
+}
+
+TEST(WireEnum, DetectBackendKindIsRangeChecked)
+{
+    expectEnumRangeChecked<DetectBackendKind>(3);
+}
+
+TEST(WireEnum, AStreamPolicyKindIsRangeChecked)
+{
+    expectEnumRangeChecked<AStreamPolicyKind>(4);
+}
+
+TEST(WireEnum, JobStatusIsRangeChecked)
+{
+    expectEnumRangeChecked<JobOutcome::Status>(4);
+}
+
+TEST(WireEnum, ErrorKindIsRangeChecked)
+{
+    expectEnumRangeChecked<ErrorKind>(4);
+}
+
+TEST(WireEnum, TrialPhaseIsRangeChecked)
+{
+    expectEnumRangeChecked<TrialPhase>(5);
+}
+
+TEST(WireEnum, WorkloadSizeIsRangeChecked)
+{
+    expectEnumRangeChecked<WorkloadSize>(3);
+}
+
+TEST(WireEnum, BatchKindIsRangeChecked)
+{
+    expectEnumRangeChecked<serve::BatchKind>(3);
+}
+
+TEST(WireEnum, BatchStatusIsRangeChecked)
+{
+    expectEnumRangeChecked<serve::BatchStatus>(4);
+}
+
+TEST(WireEnum, OutOfRangeSizeInABatchRequestNamesTheField)
+{
+    // A client asking for WorkloadSize(7): find the size byte by
+    // encoding two requests that differ only there.
+    serve::BatchRequest b;
+    b.workloads = {"compress"};
+    std::string bytes = schema::encode(b);
+    b.size = WorkloadSize::Small;
+    const std::string other = schema::encode(b);
+    ASSERT_EQ(bytes.size(), other.size());
+    size_t at = 0;
+    while (at < bytes.size() && bytes[at] == other[at])
+        ++at;
+    ASSERT_LT(at, bytes.size());
+    bytes[at] = 7;
+    try {
+        schema::decode<serve::BatchRequest>(bytes);
+        ADD_FAILURE() << "WorkloadSize(7) decoded";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("'size'"), std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(WireDecoder, TrailingBytesAreFatal)
+{
+    EXPECT_THROW(schema::decode<uint32_t>(std::string(5, '\0')),
+                 FatalError);
 }
 
 } // namespace

@@ -85,7 +85,7 @@ main(int argc, char **argv)
         if (arg == "--resume") {
             resume = true;
         } else if (arg.rfind(isoPrefix, 0) == 0) {
-            if (!parseIsolationMode(arg.substr(isoPrefix.size()),
+            if (!enumFromName(arg.substr(isoPrefix.size()),
                                     isolation)) {
                 std::cerr << "bad " << arg << " (want none|fork)\n";
                 return 2;

@@ -24,18 +24,6 @@ detectBackendName(DetectBackendKind kind)
     return i < kNumDetectBackends ? kBackendNames[i] : "?";
 }
 
-bool
-parseDetectBackend(const std::string &text, DetectBackendKind &out)
-{
-    for (unsigned i = 0; i < kNumDetectBackends; ++i) {
-        if (text == kBackendNames[i]) {
-            out = DetectBackendKind(i);
-            return true;
-        }
-    }
-    return false;
-}
-
 DetectBackendKind
 detectBackendFromEnv(DetectBackendKind fallback)
 {

@@ -47,10 +47,6 @@ inline constexpr unsigned kNumDetectBackends = 3;
 /** "slipstream", "replay", "checker" (report keys). */
 const char *detectBackendName(DetectBackendKind kind);
 
-/** Inverse of detectBackendName; false on anything else. */
-bool parseDetectBackend(const std::string &text,
-                        DetectBackendKind &out);
-
 /**
  * $SLIPSTREAM_DETECT: unset/empty means `fallback`; a listed name
  * wins; anything else throws FatalError listing the valid choices

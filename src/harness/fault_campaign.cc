@@ -308,7 +308,9 @@ planCampaignTrials(const FaultCampaignConfig &cfg)
         !cfg.targets.empty() ? cfg.targets
                              : defaultCampaignTargets(cfg.reliableMode);
     SLIP_ASSERT(!targets.empty(), "campaign has no fault targets");
-    SLIP_ASSERT(cfg.minFaultsPerTrial >= 1 &&
+    // [0, 0] plans fault-free trials (slipd's bench sweeps).
+    SLIP_ASSERT((cfg.minFaultsPerTrial >= 1 ||
+                 cfg.maxFaultsPerTrial == 0) &&
                     cfg.minFaultsPerTrial <= cfg.maxFaultsPerTrial,
                 "bad faults-per-trial range [", cfg.minFaultsPerTrial,
                 ", ", cfg.maxFaultsPerTrial, "]");
@@ -382,14 +384,10 @@ campaignTrialKey(const FaultCampaignConfig &cfg,
 {
     const auto *entry =
         static_cast<const ProgramCache::Entry *>(spec.entry);
-    const Program &p = entry->program;
     wire::Encoder enc;
     enc.putU32(kResultsVersion);
-    // The assembled image, not the source text: a workload generator
-    // change misses on its own.
-    enc.putU64(p.entry());
-    schema::encode(enc, p.rawTextWords());
-    schema::encode(enc, p.dataBytes());
+    enc.putU64(entry->imageKey.hi);
+    enc.putU64(entry->imageKey.lo);
     enc.putString(spec.workload);
     schema::encode(enc, cfg);
     schema::encode(enc, trialParams(cfg));

@@ -117,6 +117,7 @@ struct FaultCampaignConfig
     WorkloadSize size = WorkloadSize::Test;
 
     unsigned trialsPerWorkload = 32;
+    /** Faults per trial, uniform in [min, max]; [0, 0] = none. */
     unsigned minFaultsPerTrial = 1;
     unsigned maxFaultsPerTrial = 3;
     uint64_t seed = 20260806;

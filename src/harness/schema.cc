@@ -1,39 +1,6 @@
 #include "harness/schema.hh"
 
-#include <cstdio>
-
-namespace slip
-{
-
-std::string
-TrialKey::hex() const
-{
-    char buf[33];
-    std::snprintf(buf, sizeof(buf), "%016llx%016llx",
-                  static_cast<unsigned long long>(hi),
-                  static_cast<unsigned long long>(lo));
-    return std::string(buf, 32);
-}
-
-TrialKey
-keyOf(const std::string &canonicalBytes)
-{
-    // Two FNV-1a streams over the same bytes, decorrelated by a
-    // different offset basis and a salted byte: 128 bits makes an
-    // accidental collision over any realistic trial count (< 2^40) a
-    // non-issue.
-    constexpr uint64_t kOffset = 0xcbf29ce484222325ULL;
-    constexpr uint64_t kPrime = 0x100000001b3ULL;
-    uint64_t a = kOffset;
-    uint64_t b = kOffset ^ 0x9e3779b97f4a7c15ULL;
-    for (unsigned char c : canonicalBytes) {
-        a = (a ^ c) * kPrime;
-        b = (b ^ (c + 0x7f)) * kPrime;
-    }
-    return TrialKey{a, b};
-}
-
-namespace schema
+namespace slip::schema
 {
 
 namespace
@@ -234,5 +201,4 @@ JsonReader::parse(const std::string &text, bool quoted,
     return quoted;
 }
 
-} // namespace schema
-} // namespace slip
+} // namespace slip::schema

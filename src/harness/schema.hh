@@ -46,21 +46,6 @@ namespace slip
 template <class S, class T>
 concept Is = std::same_as<std::remove_const_t<S>, T>;
 
-/** 128-bit content key (two independent FNV-1a streams). */
-struct TrialKey
-{
-    uint64_t hi = 0;
-    uint64_t lo = 0;
-
-    /** 32 lowercase hex digits. */
-    std::string hex() const;
-
-    bool operator==(const TrialKey &) const = default;
-};
-
-/** The key of arbitrary canonical bytes. */
-TrialKey keyOf(const std::string &canonicalBytes);
-
 /** An enum's value count (decode range check) and names (JSONL). */
 template <class E>
 struct EnumInfo
@@ -94,6 +79,23 @@ inline constexpr EnumInfo<TrialPhase> kEnumInfo<TrialPhase>{
 template <>
 inline constexpr EnumInfo<WorkloadSize> kEnumInfo<WorkloadSize>{
     kNumWorkloadSizes, sizeName};
+template <>
+inline constexpr EnumInfo<IsolationMode> kEnumInfo<IsolationMode>{
+    kNumIsolationModes, isolationModeName};
+
+/** The value `text` names (case-sensitive); false for no value. */
+template <class E>
+bool
+enumFromName(const std::string &text, E &out)
+{
+    for (unsigned i = 0; i < kEnumInfo<E>.count; ++i) {
+        if (text == kEnumInfo<E>.name(E(i))) {
+            out = E(i);
+            return true;
+        }
+    }
+    return false;
+}
 
 // ---------------------------------------------------------------------
 // Field lists.
@@ -374,8 +376,7 @@ encode(wire::Encoder &enc, const T &v)
     } else if constexpr (std::is_enum_v<T>) {
         enc.putU8(uint8_t(v));
     } else if constexpr (std::is_integral_v<T>) {
-        for (size_t i = 0; i < sizeof(T); ++i)
-            enc.putU8(uint8_t(uint64_t(v) >> (8 * i)));
+        enc.putInt(v);
     } else if constexpr (std::is_same_v<T, double>) {
         enc.putDouble(v);
     } else if constexpr (std::is_same_v<T, std::string>) {
@@ -423,10 +424,7 @@ decode(wire::Decoder &dec, T &v, const char *name = "payload")
                        kEnumInfo<T>.count, " values of its enum");
         v = T(raw);
     } else if constexpr (std::is_integral_v<T>) {
-        uint64_t raw = 0;
-        for (size_t i = 0; i < sizeof(T); ++i)
-            raw |= uint64_t(dec.getU8()) << (8 * i);
-        v = T(raw);
+        v = dec.getInt<T>();
     } else if constexpr (std::is_same_v<T, double>) {
         v = dec.getDouble();
     } else if constexpr (std::is_same_v<T, std::string>) {
@@ -621,13 +619,7 @@ class JsonReader
     parse(const std::string &t, bool quoted, T &v)
     {
         if constexpr (std::is_enum_v<T>) {
-            for (unsigned i = 0; quoted && i < kEnumInfo<T>.count; ++i) {
-                if (t == kEnumInfo<T>.name(T(i))) {
-                    v = T(i);
-                    return true;
-                }
-            }
-            return false;
+            return quoted && enumFromName(t, v);
         } else if constexpr (std::is_integral_v<T>) {
             const char *end = t.data() + t.size();
             const auto [at, ec] = std::from_chars(t.data(), end, v);

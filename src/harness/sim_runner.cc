@@ -53,8 +53,14 @@ ProgramCache::get(const std::string &name, WorkloadSize size)
             SLIP_FATAL("workload '", name,
                        "' did not halt within the functional "
                        "simulator's instruction limit");
-        slot->entry = std::make_unique<Entry>(
-            Entry{std::move(program), r.output, r.instCount});
+        // The image, not the source text: a generator change that
+        // assembles to the same program keeps its trial keys.
+        wire::Encoder image;
+        image.putU64(program.entry());
+        schema::encode(image, program.rawTextWords());
+        schema::encode(image, program.dataBytes());
+        slot->entry = std::make_unique<Entry>(Entry{
+            std::move(program), r.output, r.instCount, keyOf(image.bytes())});
     });
     return *slot->entry;
 }

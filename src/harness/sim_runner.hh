@@ -39,6 +39,7 @@
 #include "common/cancel.hh"
 #include "common/logging.hh"
 #include "harness/experiment.hh"
+#include "harness/wire.hh"
 #include "harness/worker_pool.hh"
 #include "workloads/workloads.hh"
 
@@ -67,6 +68,7 @@ class ProgramCache
         Program program;
         std::string golden;        // functional-simulator output
         uint64_t goldenInstCount;  // dynamic instructions to halt
+        TrialKey imageKey;         // the assembled image (trial keys)
     };
 
     /** Look up a registry workload (getWorkload semantics). */

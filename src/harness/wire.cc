@@ -1,10 +1,44 @@
 #include "harness/wire.hh"
 
 #include <cerrno>
+#include <cstdio>
 #include <cstring>
 #include <unistd.h>
 
 #include "common/logging.hh"
+
+namespace slip
+{
+
+std::string
+TrialKey::hex() const
+{
+    char buf[33];
+    std::snprintf(buf, sizeof(buf), "%016llx%016llx",
+                  static_cast<unsigned long long>(hi),
+                  static_cast<unsigned long long>(lo));
+    return std::string(buf, 32);
+}
+
+TrialKey
+keyOf(const std::string &canonicalBytes)
+{
+    // Two FNV-1a streams over the same bytes, decorrelated by a
+    // different offset basis and a salted byte: 128 bits makes an
+    // accidental collision over any realistic trial count (< 2^40) a
+    // non-issue.
+    constexpr uint64_t kOffset = 0xcbf29ce484222325ULL;
+    constexpr uint64_t kPrime = 0x100000001b3ULL;
+    uint64_t a = kOffset;
+    uint64_t b = kOffset ^ 0x9e3779b97f4a7c15ULL;
+    for (unsigned char c : canonicalBytes) {
+        a = (a ^ c) * kPrime;
+        b = (b ^ (c + 0x7f)) * kPrime;
+    }
+    return TrialKey{a, b};
+}
+
+} // namespace slip
 
 namespace slip::wire
 {
@@ -12,27 +46,6 @@ namespace slip::wire
 // ---------------------------------------------------------------------
 // Encoder.
 // ---------------------------------------------------------------------
-
-void
-Encoder::putU16(uint16_t v)
-{
-    putU8(uint8_t(v));
-    putU8(uint8_t(v >> 8));
-}
-
-void
-Encoder::putU32(uint32_t v)
-{
-    putU16(uint16_t(v));
-    putU16(uint16_t(v >> 16));
-}
-
-void
-Encoder::putU64(uint64_t v)
-{
-    putU32(uint32_t(v));
-    putU32(uint32_t(v >> 32));
-}
 
 void
 Encoder::putDouble(double v)
@@ -60,37 +73,6 @@ Decoder::need(size_t n) const
     if (buf_.size() - pos_ < n)
         SLIP_FATAL("wire: truncated payload (need ", n,
                    " bytes at offset ", pos_, " of ", buf_.size(), ")");
-}
-
-uint8_t
-Decoder::getU8()
-{
-    need(1);
-    return uint8_t(buf_[pos_++]);
-}
-
-uint16_t
-Decoder::getU16()
-{
-    const uint16_t lo = getU8();
-    const uint16_t hi = getU8();
-    return uint16_t(lo | (hi << 8));
-}
-
-uint32_t
-Decoder::getU32()
-{
-    const uint32_t lo = getU16();
-    const uint32_t hi = getU16();
-    return lo | (hi << 16);
-}
-
-uint64_t
-Decoder::getU64()
-{
-    const uint64_t lo = getU32();
-    const uint64_t hi = getU32();
-    return lo | (hi << 32);
 }
 
 double
@@ -198,23 +180,17 @@ writeFrameVersion(int fd, MsgType type, uint16_t version,
 ReadResult
 readFrame(int fd, MsgType &type, std::string &payload)
 {
-    FrameHeader hdr;
-    const int got = readAll(fd, &hdr, sizeof(hdr));
-    if (got == 0)
-        return ReadResult::Eof;
-    if (got < 0)
-        return ReadResult::Error;
-    if (hdr.magic != kMagic || hdr.version != kVersion ||
-        hdr.length > kMaxFrame) {
-        SLIP_WARN("wire: bad frame header (magic 0x", std::hex, hdr.magic,
-                  std::dec, " version ", hdr.version, " length ",
-                  hdr.length, ")");
+    FrameInfo frame;
+    const ReadResult r = readFrameInfo(fd, frame);
+    if (r != ReadResult::Ok)
+        return r;
+    if (frame.version != kVersion) {
+        SLIP_WARN("wire: frame speaks version ", frame.version,
+                  ", this side speaks ", kVersion);
         return ReadResult::Error;
     }
-    payload.resize(hdr.length);
-    if (hdr.length > 0 && readAll(fd, payload.data(), hdr.length) != 1)
-        return ReadResult::Error;
-    type = MsgType(hdr.type);
+    type = frame.type;
+    payload = std::move(frame.payload);
     return ReadResult::Ok;
 }
 

@@ -39,8 +39,32 @@
 #ifndef SLIPSTREAM_HARNESS_WIRE_HH
 #define SLIPSTREAM_HARNESS_WIRE_HH
 
+#include <concepts>
 #include <cstdint>
 #include <string>
+
+namespace slip
+{
+
+/**
+ * 128-bit content key of canonical wire bytes (two independent
+ * FNV-1a streams): the trial key, the result cache's address.
+ */
+struct TrialKey
+{
+    uint64_t hi = 0;
+    uint64_t lo = 0;
+
+    /** 32 lowercase hex digits. */
+    std::string hex() const;
+
+    bool operator==(const TrialKey &) const = default;
+};
+
+/** The key of arbitrary canonical bytes. */
+TrialKey keyOf(const std::string &canonicalBytes);
+
+} // namespace slip
 
 namespace slip::wire
 {
@@ -91,10 +115,19 @@ struct FrameInfo
 class Encoder
 {
   public:
-    void putU8(uint8_t v) { buf_.push_back(char(v)); }
-    void putU16(uint16_t v);
-    void putU32(uint32_t v);
-    void putU64(uint64_t v);
+    /** Little-endian, sizeof(T) bytes. */
+    template <std::integral T>
+    void
+    putInt(T v)
+    {
+        for (size_t i = 0; i < sizeof(T); ++i)
+            buf_.push_back(char(uint64_t(v) >> (8 * i)));
+    }
+
+    void putU8(uint8_t v) { putInt(v); }
+    void putU16(uint16_t v) { putInt(v); }
+    void putU32(uint32_t v) { putInt(v); }
+    void putU64(uint64_t v) { putInt(v); }
     /** Bit pattern, not decimal text: doubles round-trip exactly. */
     void putDouble(double v);
     void putString(const std::string &s);
@@ -111,10 +144,22 @@ class Decoder
   public:
     explicit Decoder(const std::string &bytes) : buf_(bytes) {}
 
-    uint8_t getU8();
-    uint16_t getU16();
-    uint32_t getU32();
-    uint64_t getU64();
+    /** Little-endian, sizeof(T) bytes. */
+    template <std::integral T>
+    T
+    getInt()
+    {
+        need(sizeof(T));
+        uint64_t v = 0;
+        for (size_t i = 0; i < sizeof(T); ++i)
+            v |= uint64_t(uint8_t(buf_[pos_++])) << (8 * i);
+        return T(v);
+    }
+
+    uint8_t getU8() { return getInt<uint8_t>(); }
+    uint16_t getU16() { return getInt<uint16_t>(); }
+    uint32_t getU32() { return getInt<uint32_t>(); }
+    uint64_t getU64() { return getInt<uint64_t>(); }
     double getDouble();
     std::string getString();
 

@@ -34,20 +34,6 @@ isolationModeName(IsolationMode mode)
     return "?";
 }
 
-bool
-parseIsolationMode(const std::string &text, IsolationMode &mode)
-{
-    if (text == "none") {
-        mode = IsolationMode::None;
-        return true;
-    }
-    if (text == "fork") {
-        mode = IsolationMode::Fork;
-        return true;
-    }
-    return false;
-}
-
 IsolationMode
 isolationFromEnv(IsolationMode fallback)
 {

@@ -49,11 +49,10 @@ enum class IsolationMode : uint8_t
     Fork, // one forked worker process per in-flight trial
 };
 
-/** "none", "fork". */
-const char *isolationModeName(IsolationMode mode);
+inline constexpr unsigned kNumIsolationModes = 2;
 
-/** Parse "none"/"fork" (case-sensitive); false on anything else. */
-bool parseIsolationMode(const std::string &text, IsolationMode &mode);
+/** "none", "fork" (parse with enumFromName, harness/schema.hh). */
+const char *isolationModeName(IsolationMode mode);
 
 /**
  * $SLIPSTREAM_ISOLATION per the STRICT mode-knob contract: unset

@@ -96,6 +96,25 @@ Client::connect(const std::string &address, std::string &err)
     return true;
 }
 
+namespace
+{
+
+/** Decode one server reply; false + `err` when it is malformed. */
+template <class T>
+bool
+decodeReply(const std::string &payload, T &out, std::string &err)
+{
+    try {
+        out = schema::decode<T>(payload);
+        return true;
+    } catch (const FatalError &e) {
+        err = std::string("malformed reply from server: ") + e.what();
+        return false;
+    }
+}
+
+} // namespace
+
 bool
 Client::handshake(const std::string &clientName, std::string &err)
 {
@@ -134,8 +153,9 @@ Client::submitBatch(const BatchRequest &req, const OnResult &onResult,
             return false;
         }
         if (type == wire::MsgType::TrialResult) {
-            const TrialResultMsg m =
-                schema::decode<TrialResultMsg>(payload);
+            TrialResultMsg m;
+            if (!decodeReply(payload, m, err))
+                return false;
             const bool keep = onResult ? onResult(m) : true;
             if (!keep && !cancelSent) {
                 // A failed cancel write means the server is gone; the
@@ -146,10 +166,8 @@ Client::submitBatch(const BatchRequest &req, const OnResult &onResult,
             }
             continue;
         }
-        if (type == wire::MsgType::BatchDone) {
-            done = schema::decode<BatchDoneMsg>(payload);
-            return true;
-        }
+        if (type == wire::MsgType::BatchDone)
+            return decodeReply(payload, done, err);
         err = "unexpected frame type " +
               std::to_string(unsigned(type)) + " mid-batch";
         return false;
@@ -174,8 +192,7 @@ Client::queryStats(ServeStats &stats, std::string &err)
         err = "no stats reply";
         return false;
     }
-    stats = schema::decode<ServeStats>(payload);
-    return true;
+    return decodeReply(payload, stats, err);
 }
 
 bool

@@ -82,9 +82,13 @@ clientHandshake(int fd, const std::string &clientName, std::string &err)
         std::string reason = "refused";
         uint16_t serverVersion = reply.version;
         if (reply.version == wire::kVersion) {
-            wire::Decoder dec(reply.payload);
-            serverVersion = dec.getU16();
-            reason = dec.getString();
+            try {
+                wire::Decoder dec(reply.payload);
+                serverVersion = dec.getU16();
+                reason = dec.getString();
+            } catch (const FatalError &) {
+                reason = "refused, with a malformed reason";
+            }
         }
         err = "handshake rejected: server speaks protocol v" +
               std::to_string(serverVersion) +

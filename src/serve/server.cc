@@ -49,36 +49,6 @@ sendBatchDone(int fd, const BatchDoneMsg &m)
     wire::writeFrame(fd, wire::MsgType::BatchDone, schema::encode(m));
 }
 
-/**
- * Bench sweeps are zero-fault campaign trials: same entries, same
- * cycle-cap formula as planCampaignTrials(), empty plan lists — so
- * the record/render pipeline (and the result cache) treats them
- * uniformly, and a bench line is a campaign line whose trial planned
- * no faults.
- */
-std::vector<CampaignTrialSpec>
-planBenchTrials(const FaultCampaignConfig &cfg)
-{
-    std::vector<std::string> names = cfg.workloads;
-    if (names.empty())
-        for (const Workload &w : allWorkloads(cfg.size))
-            names.push_back(w.name);
-
-    std::vector<CampaignTrialSpec> specs;
-    for (const std::string &name : names) {
-        const ProgramCache::Entry &e =
-            ProgramCache::global().get(name, cfg.size);
-        const Cycle maxCycles =
-            e.goldenInstCount * cfg.cycleCapPerInst +
-            Cycle(cfg.params.watchdog.maxTrips + 2) *
-                cfg.params.watchdog.stallCycles +
-            100'000;
-        for (unsigned t = 0; t < cfg.trialsPerWorkload; ++t)
-            specs.push_back({&e, name, {}, maxCycles});
-    }
-    return specs;
-}
-
 /** The key of one fuzz trial (see result_cache.hh). */
 TrialKey
 fuzzTrialKey(const BatchRequest &req, uint64_t seed,
@@ -332,62 +302,49 @@ Server::handleBatch(int fd, const BatchRequest &req)
     bool cancelled = false;
     bool clientGone = false;
 
-    // Dispatch one wave of campaign-style specs (cache probe, then
-    // the misses on the pool), streaming every finished line.
-    const auto runSpecWave =
-        [&](const FaultCampaignConfig &cfg,
-            const std::vector<CampaignTrialSpec> &specs, size_t lo,
-            size_t hi) {
-            std::vector<size_t> missIdx;
-            std::vector<TrialKey> missKey;
-            for (size_t i = lo; i < hi; ++i) {
-                const TrialKey key =
-                    campaignTrialKey(cfg, specs[i], i);
-                std::string line;
-                if (cache_->lookup(key, line)) {
-                    if (!sendTrialResult(
-                            fd, {req.id, i, true, line})) {
-                        clientGone = true;
-                        return;
-                    }
-                    ++done.completed;
-                    ++done.cacheHits;
-                    std::lock_guard<std::mutex> lock(statsMu_);
-                    ++stats_.trialsCached;
-                } else {
-                    SLIP_TRACE(obs::Category::Serve,
-                               obs::Name::CacheMiss,
-                               obs::Phase::Instant, req.id, i);
-                    missIdx.push_back(i);
-                    missKey.push_back(key);
-                }
-            }
-            if (missIdx.empty())
-                return;
-            SimJobRunner runner(opts_.workers);
-            runner.setIsolation(opts_.isolation);
-            for (const size_t i : missIdx) {
-                const CampaignTrialSpec *s = &specs[i];
-                runner.add([&cfg, s, i](const CancelToken &cancel) {
-                    return runCampaignTrial(cfg, *s, i, cancel);
-                });
-            }
-            runner.runSupervised([&](size_t job,
-                                     const JobOutcome &o) {
-                const size_t i = missIdx[job];
-                const TrialRecord t =
-                    recordCampaignTrial(cfg, specs[i], i, o);
-                const std::string line =
-                    campaignTrialLine(cfg, i, t);
-                cache_->store(missKey[job], line);
-                if (!sendTrialResult(fd, {req.id, i, false, line}))
+    // One wave of trials [lo, hi): answer each whose key the cache
+    // holds, run the misses on the pool, store and stream their lines.
+    const auto runWave = [&](size_t lo, size_t hi, const auto &keyOf,
+                             const auto &jobOf, const auto &lineOf) {
+        std::vector<size_t> missIdx;
+        std::vector<TrialKey> missKey;
+        for (size_t i = lo; i < hi; ++i) {
+            const TrialKey key = keyOf(i);
+            std::string line;
+            if (cache_->lookup(key, line)) {
+                if (!sendTrialResult(fd, {req.id, i, true, line})) {
                     clientGone = true;
+                    return;
+                }
                 ++done.completed;
-                ++done.cacheMisses;
-            });
-            std::lock_guard<std::mutex> lock(statsMu_);
-            stats_.trialsRun += missIdx.size();
-        };
+                ++done.cacheHits;
+                std::lock_guard<std::mutex> lock(statsMu_);
+                ++stats_.trialsCached;
+            } else {
+                SLIP_TRACE(obs::Category::Serve, obs::Name::CacheMiss,
+                           obs::Phase::Instant, req.id, i);
+                missIdx.push_back(i);
+                missKey.push_back(key);
+            }
+        }
+        if (missIdx.empty())
+            return;
+        SimJobRunner runner(opts_.workers);
+        runner.setIsolation(opts_.isolation);
+        for (const size_t i : missIdx)
+            runner.add(jobOf(i));
+        runner.runSupervised([&](size_t job, const JobOutcome &o) {
+            const size_t i = missIdx[job];
+            const std::string line = lineOf(i, missKey[job], o);
+            cache_->store(missKey[job], line);
+            if (!sendTrialResult(fd, {req.id, i, false, line}))
+                clientGone = true;
+            ++done.completed;
+            ++done.cacheMisses;
+        });
+        std::lock_guard<std::mutex> lock(statsMu_);
+        stats_.trialsRun += missIdx.size();
+    };
 
     // Between waves: did the client revoke the rest of the batch?
     const auto checkCancel = [&] {
@@ -406,107 +363,73 @@ Server::handleBatch(int fd, const BatchRequest &req)
     };
 
     try {
-        if (req.kind == BatchKind::Campaign ||
-            req.kind == BatchKind::Bench) {
-            FaultCampaignConfig cfg = req.toCampaignConfig();
-            const std::vector<CampaignTrialSpec> specs =
-                req.kind == BatchKind::Bench
-                    ? planBenchTrials(cfg)
-                    : planCampaignTrials(cfg);
-            totalTrials = specs.size();
-            const size_t wave =
-                opts_.waveSize
-                    ? opts_.waveSize
-                    : size_t(4) * SimJobRunner(opts_.workers).jobs();
-            for (size_t next = 0;
-                 next < specs.size() && !cancelled && !clientGone &&
-                 !stopping_.load();
-                 ) {
-                const size_t hi =
-                    std::min(next + wave, specs.size());
-                runSpecWave(cfg, specs, next, hi);
-                next = hi;
-                checkCancel();
-            }
-        } else if (req.kind == BatchKind::Fuzz) {
+        const bool fuzzBatch = req.kind == BatchKind::Fuzz;
+        FaultCampaignConfig cfg = req.toCampaignConfig();
+        std::vector<CampaignTrialSpec> specs;
+        if (fuzzBatch) {
             totalTrials = req.seedEnd > req.seedBegin
                               ? size_t(req.seedEnd - req.seedBegin)
                               : 0;
-            const size_t wave =
-                opts_.waveSize
-                    ? opts_.waveSize
-                    : size_t(4) * SimJobRunner(opts_.workers).jobs();
-            for (uint64_t next = req.seedBegin;
-                 next < req.seedEnd && !cancelled && !clientGone &&
-                 !stopping_.load();
-                 ) {
-                const uint64_t hi =
-                    std::min<uint64_t>(next + wave, req.seedEnd);
-                // Generate first: the rendered source is both the
-                // cache identity and the job input.
-                std::vector<uint64_t> seeds;
-                std::vector<std::string> sources;
-                std::vector<TrialKey> keys;
-                for (uint64_t s = next; s < hi; ++s) {
-                    const std::string src =
-                        fuzz::generate(s).render();
-                    const TrialKey key = fuzzTrialKey(req, s, src);
-                    std::string line;
-                    if (cache_->lookup(key, line)) {
-                        if (!sendTrialResult(
-                                fd, {req.id, s - req.seedBegin, true,
-                                     line})) {
-                            clientGone = true;
-                            break;
-                        }
-                        ++done.completed;
-                        ++done.cacheHits;
-                        std::lock_guard<std::mutex> lock(statsMu_);
-                        ++stats_.trialsCached;
-                    } else {
-                        seeds.push_back(s);
-                        sources.push_back(src);
-                        keys.push_back(key);
-                    }
-                }
-                if (!seeds.empty() && !clientGone) {
-                    SimJobRunner runner(opts_.workers);
-                    runner.setIsolation(opts_.isolation);
-                    for (const std::string &src : sources) {
-                        runner.add([src](const CancelToken &) {
-                            const Program p = assemble(src);
+        } else {
+            // A bench sweep is a campaign whose trials plan no faults.
+            if (req.kind == BatchKind::Bench)
+                cfg.minFaultsPerTrial = cfg.maxFaultsPerTrial = 0;
+            specs = planCampaignTrials(cfg);
+            totalTrials = specs.size();
+        }
+        const size_t wave =
+            opts_.waveSize ? opts_.waveSize
+                           : size_t(4) * SimJobRunner(opts_.workers).jobs();
+        // A fuzz wave's rendered programs: each is both the trial's
+        // cache identity and its job input.
+        std::vector<std::string> sources;
+        for (size_t lo = 0, hi = 0; lo < totalTrials && !cancelled &&
+                                    !clientGone && !stopping_.load();
+             lo = hi) {
+            hi = std::min(lo + wave, totalTrials);
+            if (!fuzzBatch) {
+                runWave(
+                    lo, hi,
+                    [&](size_t i) {
+                        return campaignTrialKey(cfg, specs[i], i);
+                    },
+                    [&](size_t i) {
+                        return [&cfg, s = &specs[i],
+                                i](const CancelToken &cancel) {
+                            return runCampaignTrial(cfg, *s, i, cancel);
+                        };
+                    },
+                    [&](size_t i, const TrialKey &, const JobOutcome &o) {
+                        return campaignTrialLine(
+                            cfg, i, recordCampaignTrial(cfg, specs[i], i, o));
+                    });
+            } else {
+                sources.clear();
+                for (size_t i = lo; i < hi; ++i)
+                    sources.push_back(
+                        fuzz::generate(req.seedBegin + i).render());
+                runWave(
+                    lo, hi,
+                    [&](size_t i) {
+                        return fuzzTrialKey(req, req.seedBegin + i,
+                                            sources[i - lo]);
+                    },
+                    [&](size_t i) {
+                        return [src = sources[i - lo]](const CancelToken &) {
                             const fuzz::OracleVerdict v =
-                                fuzz::runOracle(p);
+                                fuzz::runOracle(assemble(src));
                             RunMetrics m;
                             m.model = "fuzz_oracle";
                             m.outputCorrect = !v.diverged;
                             m.outputBytes = v.report.size();
                             return m;
-                        });
-                    }
-                    runner.runSupervised([&](size_t job,
-                                             const JobOutcome &o) {
-                        const uint64_t s = seeds[job];
-                        const std::string line =
-                            fuzzTrialLine(req, s, keys[job], o);
-                        cache_->store(keys[job], line);
-                        if (!sendTrialResult(
-                                fd, {req.id, s - req.seedBegin,
-                                     false, line}))
-                            clientGone = true;
-                        ++done.completed;
-                        ++done.cacheMisses;
+                        };
+                    },
+                    [&](size_t i, const TrialKey &key, const JobOutcome &o) {
+                        return fuzzTrialLine(req, req.seedBegin + i, key, o);
                     });
-                    std::lock_guard<std::mutex> lock(statsMu_);
-                    stats_.trialsRun += seeds.size();
-                }
-                next = hi;
-                checkCancel();
             }
-        } else {
-            done.status = BatchStatus::Error;
-            done.error = "unknown batch kind " +
-                         std::to_string(unsigned(req.kind));
+            checkCancel();
         }
     } catch (const std::exception &e) {
         done.status = BatchStatus::Error;

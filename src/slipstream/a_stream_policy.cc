@@ -25,18 +25,6 @@ aStreamPolicyName(AStreamPolicyKind kind)
     return i < kNumAStreamPolicies ? kPolicyNames[i] : "?";
 }
 
-bool
-parseAStreamPolicy(const std::string &text, AStreamPolicyKind &out)
-{
-    for (unsigned i = 0; i < kNumAStreamPolicies; ++i) {
-        if (text == kPolicyNames[i]) {
-            out = AStreamPolicyKind(i);
-            return true;
-        }
-    }
-    return false;
-}
-
 AStreamPolicyKind
 aStreamPolicyFromEnv(AStreamPolicyKind fallback)
 {

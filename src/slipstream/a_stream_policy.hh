@@ -75,10 +75,6 @@ inline constexpr unsigned kNumAStreamPolicies = 4;
 /** "ir", "runahead", "filtered", "reliability" (report keys). */
 const char *aStreamPolicyName(AStreamPolicyKind kind);
 
-/** Inverse of aStreamPolicyName; false on anything else. */
-bool parseAStreamPolicy(const std::string &text,
-                        AStreamPolicyKind &out);
-
 /**
  * $SLIPSTREAM_ASTREAM_POLICY: unset/empty means `fallback`; a listed
  * name wins; anything else throws FatalError listing the valid

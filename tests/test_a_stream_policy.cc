@@ -12,6 +12,7 @@
 
 #include "assembler/assembler.hh"
 #include "func/func_sim.hh"
+#include "harness/schema.hh"
 #include "slipstream/a_stream_policy.hh"
 #include "slipstream/slipstream_processor.hh"
 
@@ -35,14 +36,14 @@ TEST(AStreamPolicy, NamesParseRoundTrip)
 
     for (unsigned i = 0; i < kNumAStreamPolicies; ++i) {
         AStreamPolicyKind parsed;
-        ASSERT_TRUE(parseAStreamPolicy(
+        ASSERT_TRUE(enumFromName(
             aStreamPolicyName(AStreamPolicyKind(i)), parsed));
         EXPECT_EQ(parsed, AStreamPolicyKind(i));
     }
     AStreamPolicyKind dummy;
-    EXPECT_FALSE(parseAStreamPolicy("turbo", dummy));
-    EXPECT_FALSE(parseAStreamPolicy("", dummy));
-    EXPECT_FALSE(parseAStreamPolicy("IR", dummy));
+    EXPECT_FALSE(enumFromName("turbo", dummy));
+    EXPECT_FALSE(enumFromName("", dummy));
+    EXPECT_FALSE(enumFromName("IR", dummy));
 }
 
 /** A packet with `executed` value-carrying slots out of `slots`. */

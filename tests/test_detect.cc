@@ -100,12 +100,12 @@ TEST(DetectBackend, NamesAndParsing)
     for (DetectBackendKind kind : kAllKinds) {
         DetectBackendKind parsed;
         ASSERT_TRUE(
-            parseDetectBackend(detectBackendName(kind), parsed));
+            enumFromName(detectBackendName(kind), parsed));
         EXPECT_EQ(parsed, kind);
     }
     DetectBackendKind dummy;
-    EXPECT_FALSE(parseDetectBackend("parity", dummy));
-    EXPECT_FALSE(parseDetectBackend("", dummy));
+    EXPECT_FALSE(enumFromName("parity", dummy));
+    EXPECT_FALSE(enumFromName("", dummy));
 }
 
 TEST(DetectEnv, UnsetUsesFallback)

@@ -102,6 +102,25 @@ TEST(FaultCampaign, ReliableTargetsExcludeMemoryAndPredictor)
     EXPECT_EQ(defaultCampaignTargets(false).size(), 8u);
 }
 
+TEST(FaultCampaign, ZeroFaultRangePlansFaultFreeTrials)
+{
+    // slipd's bench sweeps: [0, 0] faults per trial plans the same
+    // trials and cycle caps as a faulty campaign, with no faults.
+    const FaultCampaignConfig faulty = smallConfig();
+    FaultCampaignConfig clean = faulty;
+    clean.minFaultsPerTrial = clean.maxFaultsPerTrial = 0;
+    const std::vector<CampaignTrialSpec> a = planCampaignTrials(faulty);
+    const std::vector<CampaignTrialSpec> b = planCampaignTrials(clean);
+    ASSERT_EQ(a.size(), b.size());
+    for (size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(b[i].entry, a[i].entry);
+        EXPECT_EQ(b[i].workload, a[i].workload);
+        EXPECT_EQ(b[i].maxCycles, a[i].maxCycles);
+        EXPECT_FALSE(a[i].plans.empty());
+        EXPECT_TRUE(b[i].plans.empty());
+    }
+}
+
 TEST(FaultCampaign, JsonReportIsWellFormedAndWritable)
 {
     FaultCampaignConfig cfg = smallConfig();

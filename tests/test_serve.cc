@@ -604,6 +604,69 @@ TEST_F(ServerFixture, MalformedFramesCostTheirClientNotTheDaemon)
     EXPECT_GE(stats.connections, 3u);
 }
 
+TEST(ServeClient, MalformedRepliesAreErrorsNotAborts)
+{
+    // A fake server that handshakes properly, then answers a batch
+    // and a stats query with well-framed, empty payloads, and finally
+    // rejects a Hello with an empty reason payload.
+    ScratchDir dir;
+    const std::string path = dir.path + "/fake.sock";
+    const int lfd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    sockaddr_un addr = {};
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+    ASSERT_EQ(::bind(lfd, reinterpret_cast<sockaddr *>(&addr),
+                     sizeof(addr)),
+              0);
+    ASSERT_EQ(::listen(lfd, 4), 0);
+    std::thread fake([lfd] {
+        const wire::MsgType replies[] = {wire::MsgType::TrialResult,
+                                         wire::MsgType::StatsReply};
+        for (const wire::MsgType reply : replies) {
+            const int fd = ::accept(lfd, nullptr, nullptr);
+            std::string name, err;
+            wire::MsgType type;
+            std::string payload;
+            if (serverHandshake(fd, "fake", name, err) &&
+                wire::readFrame(fd, type, payload) == wire::ReadResult::Ok)
+                wire::writeFrame(fd, reply, "");
+            ::close(fd);
+        }
+        const int fd = ::accept(lfd, nullptr, nullptr);
+        wire::FrameInfo hello;
+        wire::readFrameInfo(fd, hello);
+        wire::writeFrame(fd, wire::MsgType::HelloReject, "");
+        ::close(fd);
+    });
+
+    std::string err;
+    {
+        Client client;
+        ASSERT_TRUE(client.connect(path, err)) << err;
+        ASSERT_TRUE(client.handshake("c1", err)) << err;
+        BatchRequest req;
+        BatchDoneMsg done;
+        EXPECT_FALSE(client.submitBatch(req, {}, done, err));
+        EXPECT_NE(err.find("malformed"), std::string::npos) << err;
+    }
+    {
+        Client client;
+        ASSERT_TRUE(client.connect(path, err)) << err;
+        ASSERT_TRUE(client.handshake("c2", err)) << err;
+        ServeStats stats;
+        EXPECT_FALSE(client.queryStats(stats, err));
+        EXPECT_NE(err.find("malformed"), std::string::npos) << err;
+    }
+    {
+        Client client;
+        ASSERT_TRUE(client.connect(path, err)) << err;
+        EXPECT_FALSE(client.handshake("c3", err));
+        EXPECT_NE(err.find("malformed"), std::string::npos) << err;
+    }
+    fake.join();
+    ::close(lfd);
+}
+
 TEST_F(ServerFixture, TwoPoliciesOnSameProgramDoNotShareCacheEntries)
 {
     // Same program, same seed, same trial count — only the A-stream

@@ -10,6 +10,7 @@
 
 #include "common/crash_report.hh"
 #include "common/logging.hh"
+#include "harness/schema.hh"
 #include "harness/worker_pool.hh"
 
 namespace slip
@@ -53,12 +54,12 @@ TEST(IsolationMode, NamesAndParsing)
     EXPECT_STREQ(isolationModeName(IsolationMode::Fork), "fork");
 
     IsolationMode m = IsolationMode::None;
-    EXPECT_TRUE(parseIsolationMode("fork", m));
+    EXPECT_TRUE(enumFromName("fork", m));
     EXPECT_EQ(m, IsolationMode::Fork);
-    EXPECT_TRUE(parseIsolationMode("none", m));
+    EXPECT_TRUE(enumFromName("none", m));
     EXPECT_EQ(m, IsolationMode::None);
-    EXPECT_FALSE(parseIsolationMode("container", m));
-    EXPECT_FALSE(parseIsolationMode("", m));
+    EXPECT_FALSE(enumFromName("container", m));
+    EXPECT_FALSE(enumFromName("", m));
 }
 
 TEST(IsolationMode, EnvUnsetUsesFallback)

@@ -206,21 +206,21 @@ main(int argc, char **argv)
             return 0;
         } else if (arg == "--isolation") {
             const std::string v = value("--isolation");
-            if (!parseIsolationMode(v, cfg.isolation)) {
+            if (!enumFromName(v, cfg.isolation)) {
                 std::cerr << "slip_campaign: bad --isolation '" << v
                           << "' (want none|fork)\n";
                 return 2;
             }
         } else if (arg == "--detect") {
             const std::string v = value("--detect");
-            if (!parseDetectBackend(v, cfg.params.detect.kind)) {
+            if (!enumFromName(v, cfg.params.detect.kind)) {
                 std::cerr << "slip_campaign: bad --detect '" << v
                           << "' (want slipstream|replay|checker)\n";
                 return 2;
             }
         } else if (arg == "--policy") {
             const std::string v = value("--policy");
-            if (!parseAStreamPolicy(v, cfg.params.aPolicy.kind)) {
+            if (!enumFromName(v, cfg.params.aPolicy.kind)) {
                 std::cerr << "slip_campaign: bad --policy '" << v
                           << "' (want ir|runahead|filtered|"
                              "reliability)\n";

@@ -173,14 +173,14 @@ main(int argc, char **argv)
             req.reliableMode = true;
         } else if (arg == "--detect") {
             const std::string v = value("--detect");
-            if (!parseDetectBackend(v, req.detect.kind)) {
+            if (!enumFromName(v, req.detect.kind)) {
                 std::cerr << "slipc: bad --detect '" << v
                           << "' (want slipstream|replay|checker)\n";
                 return 2;
             }
         } else if (arg == "--policy") {
             const std::string v = value("--policy");
-            if (!parseAStreamPolicy(v, req.policy.kind)) {
+            if (!enumFromName(v, req.policy.kind)) {
                 std::cerr << "slipc: bad --policy '" << v
                           << "' (want ir|runahead|filtered|"
                              "reliability)\n";

@@ -137,7 +137,7 @@ main(int argc, char **argv)
             opts.waveSize = unsigned(n);
         } else if (arg == "--isolation") {
             const std::string v = value("--isolation");
-            if (!parseIsolationMode(v, opts.isolation)) {
+            if (!enumFromName(v, opts.isolation)) {
                 std::cerr << "slipd: bad --isolation '" << v
                           << "' (want none|fork)\n";
                 return 2;

@@ -28,6 +28,7 @@
 #include "common/logging.hh"
 #include "fuzz/fuzzer.hh"
 #include "fuzz/oracle.hh"
+#include "harness/schema.hh"
 
 namespace
 {
@@ -191,7 +192,7 @@ main(int argc, char **argv)
             opt.jobs = static_cast<unsigned>(n);
         } else if (arg == "--isolation") {
             const std::string v = value("--isolation");
-            if (!slip::parseIsolationMode(v, opt.isolation)) {
+            if (!slip::enumFromName(v, opt.isolation)) {
                 std::cerr << "ssir_fuzz: bad --isolation '" << v
                           << "' (want none|fork)\n";
                 return 2;
@@ -210,7 +211,7 @@ main(int argc, char **argv)
             opt.oracle.maxCycles = n;
         } else if (arg == "--policy") {
             const std::string v = value("--policy");
-            if (!slip::parseAStreamPolicy(v,
+            if (!slip::enumFromName(v,
                                           opt.oracle.params.aPolicy.kind)) {
                 std::cerr << "ssir_fuzz: bad --policy '" << v
                           << "' (want ir|runahead|filtered|"
